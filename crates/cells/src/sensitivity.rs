@@ -29,8 +29,9 @@
 //! [`delta_library`] derives a per-die library from those
 //! sensitivities. Each `(cell, vector)` entry is guarded by a
 //! linearization-error check: the odd part of what the model misses at
-//! the measured corner probes (the cubic-order cross error `μ_k`, the
-//! dominant residual term) is extrapolated to the die's draw, and an
+//! the measured corner probes (the cubic-order cross error `μ_k`) and,
+//! on axes drawn beyond the outermost probes, the unvalidated growth of
+//! the single-axis fit are extrapolated to the die's draw, and an
 //! entry whose estimate exceeds the tolerance falls back to a full
 //! Newton characterization of that vector.
 
@@ -75,7 +76,8 @@ pub const SENS_PAIRS: [(usize, usize); 6] = [(0, 1), (0, 2), (0, 3), (1, 2), (1,
 /// at the entry's dominant current scale: an entry is delta-derived
 /// only while its estimated model error
 /// ([`VectorSens::error_estimate`], the measured corner-probe log
-/// misfits extrapolated to the draw and weighted by each value's
+/// misfits and any single-axis extrapolation past the probes, turned
+/// into a relative error `e^ε − 1` and weighted by each value's
 /// relative magnitude) stays below this bound. The estimate is
 /// deliberately conservative; calibration against bit-exact
 /// re-characterization puts typical accepted-entry deviations well
@@ -157,31 +159,47 @@ impl VectorSens {
         rebuild_from_values(template, &vals)
     }
 
-    /// Estimated relative model error at a die draw, extrapolated
-    /// from the *measured* corner-probe misfits: the odd (cubic-order)
-    /// log misfit `μ_k` grows like `r_a·r_b·max(r_a,r_b)`, where
-    /// `r_a = δ_a/h_a` is the draw in corner-step units, and each
-    /// value's extrapolated misfit is weighted by the value's relative
-    /// magnitude `|v_i| / max_j |v_j|` — a small log error ε on a
-    /// value v shifts the entry's currents by ≈ `|v|·ε`, so the
-    /// weighted worst is an estimated *relative* error at the entry's
-    /// dominant current scale, directly comparable to a relative
-    /// tolerance like [`DEFAULT_DELTA_TOL`]. Single-axis error is
-    /// excluded by construction (the quartic fit interpolates the
-    /// single-axis probes exactly), matching the observation that
-    /// cross terms dominate what the model misses. Monotone in the
-    /// draw magnitude and costs no solver work.
+    /// Estimated relative model error at a die draw. Per value, the
+    /// log-space error `ε` is the sum of two extrapolations:
+    ///
+    /// - cross: the *measured* odd corner-probe misfit `μ_k` grows
+    ///   like `r_a·r_b·max(r_a,r_b)`, where `r_a = |δ_a|/(2h_a)` is the
+    ///   draw in corner-step units;
+    /// - single-axis: the quartic fit interpolates the probes exactly
+    ///   only inside `±2h`; on an axis drawn beyond it (`r_a > 1`) the
+    ///   growth of the fit's cubic and quartic terms past the outermost
+    ///   probe is unvalidated and counts in full.
+    ///
+    /// A log error `ε` on a value `v` moves it by up to
+    /// `|v|·(e^ε − 1)`, so each value's `e^ε − 1` is weighted by its
+    /// relative magnitude `|v_i| / max_j |v_j|` and the worst of those
+    /// is an estimated *relative* error at the entry's dominant current
+    /// scale, directly comparable to a relative tolerance like
+    /// [`DEFAULT_DELTA_TOL`]. The estimate is capped at `f64::MAX` so
+    /// it always serializes as a number. Monotone in the draw
+    /// magnitude and costs no solver work.
     fn error_estimate(&self, deltas: &[f64; SENS_AXES]) -> f64 {
-        let r: Vec<f64> = (0..SENS_AXES).map(|a| (deltas[a] / CORNER_STEPS[a]).abs()).collect();
+        let r: [f64; SENS_AXES] = std::array::from_fn(|a| (deltas[a] / CORNER_STEPS[a]).abs());
         let mut worst = 0.0_f64;
         for i in 0..self.mu.len() {
-            let mut est = 0.0;
+            let mut eps = 0.0;
             for (k, &(a, b)) in SENS_PAIRS.iter().enumerate() {
-                est += self.mu[i][k].abs() * r[a] * r[b] * r[a].max(r[b]);
+                eps += self.mu[i][k].abs() * r[a] * r[b] * r[a].max(r[b]);
             }
-            worst = worst.max(self.weight[i] * est);
+            for a in (0..SENS_AXES).filter(|&a| r[a] > 1.0) {
+                eps +=
+                    self.high_order(i, a, deltas[a].abs()) - self.high_order(i, a, CORNER_STEPS[a]);
+            }
+            worst = worst.max(self.weight[i] * eps.exp_m1());
         }
-        worst
+        worst.min(f64::MAX)
+    }
+
+    /// Magnitude of value `i`'s cubic and quartic log terms on axis `a`
+    /// at distance `x` from the nominal.
+    fn high_order(&self, i: usize, a: usize, x: f64) -> f64 {
+        let x3 = x * x * x;
+        self.cub[i][a].abs() * x3 / 6.0 + self.qrt[i][a].abs() * x3 * x / 24.0
     }
 
     /// The model exponent for one flattened value at arbitrary deltas
@@ -713,6 +731,38 @@ mod tests {
         let die = apply_deltas(&tech, &deltas);
         let exact = CellLibrary::characterize(&die, 300.0, &copts).unwrap();
         assert_eq!(derived, exact, "fallback entries are real solves");
+    }
+
+    #[test]
+    fn far_threshold_draw_is_derived_within_tolerance() {
+        // A fast-MC die drawn on s838 (r = δ/(2h) ≈ [0.18, 0.56, -1.64,
+        // 0.62]): its Vt shift lies past the outermost single-axis
+        // probe. Extrapolating the quartic log fit there put one nand4
+        // "0101" response value e^25 too high, ~1e9 times the entry's
+        // largest current, while the estimate read 0.05 and the die's
+        // s838 leakage came out at 470 A. Every entry must now either
+        // derive within tolerance or fall back to the solve.
+        let tech = Technology::d25();
+        let copts = CharacterizeOptions::coarse(&[CellType::Nand4]);
+        let (lib, sens) = characterize_with_sensitivity(&tech, 300.0, &copts).unwrap();
+        let deltas = [
+            7.113585539299184e-10,
+            7.501192882112809e-11,
+            -0.13779677847521904,
+            0.04098884011290671,
+        ];
+        let (derived, report) = delta_library(&lib, &sens, &deltas, DEFAULT_DELTA_TOL).unwrap();
+        assert!(report.fallbacks > 0, "the far draw must trip the estimate: {report:?}");
+        assert!(report.fallbacks < report.entries, "entries inside the model stay derived");
+        let exact =
+            CellLibrary::characterize(&apply_deltas(&tech, &deltas), 300.0, &copts).unwrap();
+        for v in InputVector::all(4) {
+            let d = flatten_values(derived.vector_char(CellType::Nand4, v).unwrap());
+            let e = flatten_values(exact.vector_char(CellType::Nand4, v).unwrap());
+            let scale = e.iter().fold(0.0_f64, |m, x| m.max(x.abs()));
+            let err = d.iter().zip(&e).fold(0.0_f64, |m, (d, e)| m.max((d - e).abs())) / scale;
+            assert!(err < DEFAULT_DELTA_TOL, "nand4 {v}: relative error {err}");
+        }
     }
 
     #[test]

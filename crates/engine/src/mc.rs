@@ -26,6 +26,7 @@ use nanoleak_netlist::Circuit;
 use nanoleak_variation::{
     run_circuit_mc_range, run_circuit_mc_range_fast, summarize, CircuitMcConfig, FastMcDiag,
     FastMcReport, LibraryProvider, McError, McSample, McSummary, DEFAULT_HIST_BINS,
+    TABLE_AMORTIZE_VECTORS,
 };
 use serde::{Deserialize, Serialize};
 
@@ -304,8 +305,11 @@ pub fn mc_streaming_mode(
             // dependencies, so its per-die block-kernel work is
             // accounted for here arithmetically: one unloaded-arm
             // block per LANES patterns per sample, and on the fast
-            // path the loaded arm runs as blocks too.
-            let arms = if prepared.is_some() { 2 } else { 1 };
+            // path the loaded arm runs as blocks too once the pattern
+            // volume pays for its response tables (below that it runs
+            // the per-lane scalar service, which is not a block).
+            let loaded_blocks = prepared.is_some() && config.vectors >= TABLE_AMORTIZE_VECTORS;
+            let arms = if loaded_blocks { 2 } else { 1 };
             let per_sample = config.vectors.div_ceil(LANES) as u64;
             let tail = ((LANES - config.vectors % LANES) % LANES) as u64;
             crate::block::record_external_blocks(

@@ -368,12 +368,17 @@ fn reason(status: u16) -> &'static str {
     }
 }
 
-/// Writes `response` to the stream. `close` selects the
-/// `Connection:` header the client sees — it must match what the
-/// server actually does next (close the socket, or loop for another
-/// request).
-pub fn write_response(
-    mut stream: &TcpStream,
+/// Writes `response` to `out` as one buffer in one `write_all`.
+/// `close` selects the `Connection:` header the client sees — it must
+/// match what the server actually does next (close the socket, or loop
+/// for another request).
+///
+/// Head and body go out together: written separately, the body of a
+/// keep-alive response waits behind Nagle's algorithm until the client
+/// ACKs the head, and the client's delayed-ACK timer turns that into
+/// a ~40 ms stall per exchange.
+pub fn write_response<W: Write>(
+    mut out: W,
     response: &Response,
     close: bool,
 ) -> std::io::Result<()> {
@@ -385,7 +390,7 @@ pub fn write_response(
         Some(seconds) => format!("Retry-After: {seconds}\r\n"),
         None => String::new(),
     };
-    let head = format!(
+    let mut message = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\n{}{}Connection: {}\r\n\r\n",
         response.status,
         reason(response.status),
@@ -395,9 +400,9 @@ pub fn write_response(
         retry_after,
         if close { "close" } else { "keep-alive" },
     );
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(response.body.as_bytes())?;
-    stream.flush()
+    message.push_str(&response.body);
+    out.write_all(message.as_bytes())?;
+    out.flush()
 }
 
 #[cfg(test)]
@@ -518,6 +523,50 @@ mod tests {
         raw.extend_from_slice(b"\r\n\r\n");
         let err = parse(&raw).unwrap_err();
         assert!(err.status == 400 || err.status == 431, "{err:?}");
+    }
+
+    /// A `Write` that records every `write` call it receives.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn keep_alive_response_is_one_write_of_head_and_body() {
+        let mut response = Response::json(200, "{\"ok\":true}");
+        response.request_id = Some("req-7".into());
+        let mut out = CountingWriter::default();
+        write_response(&mut out, &response, false).unwrap();
+        assert_eq!(out.writes, 1, "head and body must leave in one write");
+        let expected = "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\
+                        Content-Length: 11\r\nX-Request-Id: req-7\r\n\
+                        Connection: keep-alive\r\n\r\n{\"ok\":true}";
+        assert_eq!(String::from_utf8(out.bytes).unwrap(), expected);
+    }
+
+    #[test]
+    fn shed_response_with_retry_after_is_one_write() {
+        let response = Response::json(503, "{\"error\":\"busy\"}").with_retry_after(1);
+        let mut out = CountingWriter::default();
+        write_response(&mut out, &response, true).unwrap();
+        assert_eq!(out.writes, 1, "head and body must leave in one write");
+        let expected = "HTTP/1.1 503 Service Unavailable\r\nContent-Type: application/json\r\n\
+                        Content-Length: 16\r\nRetry-After: 1\r\nConnection: close\r\n\r\n\
+                        {\"error\":\"busy\"}";
+        assert_eq!(String::from_utf8(out.bytes).unwrap(), expected);
     }
 
     #[test]

@@ -725,6 +725,10 @@ impl Server {
                 }
                 match self.listener.accept() {
                     Ok((stream, _peer)) => {
+                        // Responses leave in one write; without
+                        // NODELAY a body longer than one segment can
+                        // still wait on the client's delayed ACK.
+                        let _ = stream.set_nodelay(true);
                         if active_connections.load(Ordering::Relaxed) >= MAX_CONNECTIONS {
                             let _ = stream.set_nonblocking(false);
                             state.telemetry.shed_connection_limit.inc();

@@ -75,12 +75,14 @@ fn request(
     body: &str,
 ) -> (u16, Vec<(String, String)>, String) {
     let mut stream = TcpStream::connect(server.addr).expect("connect");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+    // Head and body in one write, no Nagle delay: a split write
+    // would wait on the server's delayed ACK.
+    stream.set_nodelay(true).expect("set nodelay");
+    let request = format!(
+        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(head.as_bytes()).expect("write head");
-    stream.write_all(body.as_bytes()).expect("write body");
+    stream.write_all(request.as_bytes()).expect("write request");
     let mut raw = String::new();
     stream.read_to_string(&mut raw).expect("read response");
     let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");

@@ -67,12 +67,14 @@ impl Drop for TestServer {
 /// One HTTP exchange over a raw TcpStream; returns (status, body).
 fn request(server: &TestServer, method: &str, path: &str, body: &str) -> (u16, String) {
     let mut stream = TcpStream::connect(server.addr).expect("connect");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+    // Head and body in one write, no Nagle delay: a split write
+    // would wait on the server's delayed ACK.
+    stream.set_nodelay(true).expect("set nodelay");
+    let request = format!(
+        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(head.as_bytes()).expect("write head");
-    stream.write_all(body.as_bytes()).expect("write body");
+    stream.write_all(request.as_bytes()).expect("write request");
     let mut raw = String::new();
     stream.read_to_string(&mut raw).expect("read response");
     let status: u16 = raw
@@ -309,10 +311,14 @@ fn queued_jobs_cancel_and_stats_count_everything() {
 
 /// Writes one request on an already-open keep-alive stream.
 fn write_request(stream: &mut TcpStream, method: &str, path: &str, body: &str) {
-    let head =
-        format!("{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n", body.len());
-    stream.write_all(head.as_bytes()).expect("write head");
-    stream.write_all(body.as_bytes()).expect("write body");
+    // Head and body in one write, no Nagle delay: a split write
+    // would wait on the server's delayed ACK.
+    stream.set_nodelay(true).expect("set nodelay");
+    let request = format!(
+        "{method} {path} HTTP/1.1\r\nHost: test\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    );
+    stream.write_all(request.as_bytes()).expect("write request");
 }
 
 /// Reads exactly one response off a keep-alive stream; `None` on EOF.
@@ -375,6 +381,33 @@ fn keep_alive_serves_100_requests_on_one_connection() {
     assert_eq!(status, 200);
     let Value::Int(requests) = field(&body, "requests") else { panic!("requests: {body}") };
     assert!(requests >= 121, "all keep-alive requests were counted: {requests}");
+}
+
+/// Keep-alive exchanges do not stall on the client's delayed ACK. A
+/// response written as head then body is held back by Nagle's
+/// algorithm until the head is ACKed (~40 ms per exchange on Linux
+/// loopback), so twenty `/healthz` round trips would take ≥ 800 ms;
+/// written as one buffer they take a few milliseconds. The best of
+/// three batches is judged, so a batch slowed by a busy test host does
+/// not fail the test, while a stall slows every batch.
+#[test]
+fn keep_alive_exchanges_do_not_stall_on_delayed_ack() {
+    let server = TestServer::start(1, 8);
+    let mut stream = TcpStream::connect(server.addr).expect("connect");
+    let read_stream = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(&read_stream);
+    let mut batch = || {
+        let started = Instant::now();
+        for i in 0..20 {
+            write_request(&mut stream, "GET", "/healthz", "");
+            let (status, connection, _) =
+                read_one_response(&mut reader).unwrap_or_else(|| panic!("EOF at request {i}"));
+            assert_eq!((status, connection.as_str()), (200, "keep-alive"), "request {i}");
+        }
+        started.elapsed()
+    };
+    let best = (0..3).map(|_| batch()).min().expect("three batches");
+    assert!(best < Duration::from_millis(400), "20 keep-alive exchanges took {best:?}");
 }
 
 #[test]
@@ -822,12 +855,14 @@ fn request_full(
     body: &str,
 ) -> (u16, Vec<(String, String)>, String) {
     let mut stream = TcpStream::connect(server.addr).expect("connect");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: test\r\n{extra_headers}Content-Length: {}\r\nConnection: close\r\n\r\n",
+    // Head and body in one write, no Nagle delay: a split write
+    // would wait on the server's delayed ACK.
+    stream.set_nodelay(true).expect("set nodelay");
+    let request = format!(
+        "{method} {path} HTTP/1.1\r\nHost: test\r\n{extra_headers}Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(head.as_bytes()).expect("write head");
-    stream.write_all(body.as_bytes()).expect("write body");
+    stream.write_all(request.as_bytes()).expect("write request");
     let mut raw = String::new();
     stream.read_to_string(&mut raw).expect("read response");
     let (head, body) = raw.split_once("\r\n\r\n").expect("header/body split");

@@ -34,12 +34,14 @@ fn http_full(
     body: &str,
 ) -> (u16, Option<u64>, String) {
     let mut stream = TcpStream::connect(addr).expect("connect to server");
-    let head = format!(
-        "{method} {path} HTTP/1.1\r\nHost: client\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+    // Head and body in one write, no Nagle delay: a split write
+    // would wait on the server's delayed ACK.
+    stream.set_nodelay(true).expect("set nodelay");
+    let request = format!(
+        "{method} {path} HTTP/1.1\r\nHost: client\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
     );
-    stream.write_all(head.as_bytes()).expect("send request");
-    stream.write_all(body.as_bytes()).expect("send body");
+    stream.write_all(request.as_bytes()).expect("send request");
     let mut raw = String::new();
     stream.read_to_string(&mut raw).expect("read response");
     let (head, body) = raw.split_once("\r\n\r\n").unwrap_or((raw.as_str(), ""));
