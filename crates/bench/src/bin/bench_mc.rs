@@ -37,7 +37,7 @@
 use std::time::Instant;
 
 use nanoleak_device::Technology;
-use nanoleak_engine::{mc_streaming_mode, McMode, MemoLibraryCache};
+use nanoleak_engine::{mc_streaming_mode, McMode, MemoLibraryCache, DEFAULT_DEVIATION_PROBE};
 use nanoleak_netlist::generate::iscas_like;
 use nanoleak_netlist::normalize::normalize;
 use nanoleak_variation::{char_opts_for, run_inverter_mc, CircuitMcConfig, McConfig};
@@ -110,8 +110,14 @@ fn main() {
     };
     // One memo for both arms: the fast arm's deviation probe re-runs
     // leading dies exactly, and those libraries are already resident
-    // from the exact arm (same seed, same request keys).
-    let cache = MemoLibraryCache::memory_only();
+    // from the exact arm (same seed, same request keys). The working
+    // set is one library per die either arm solves exactly (the exact
+    // arm's dies and the probe's) plus the traced nominal. The memo
+    // must hold all of it: an eviction would make the warm re-run
+    // below re-solve, and the default bound of 64 libraries is one
+    // short at `--samples 64`.
+    let probed = DEFAULT_DEVIATION_PROBE.min(fast_samples);
+    let cache = MemoLibraryCache::memory_only().with_max_resident(samples.max(probed) + 1);
     let exact = mc_streaming_mode(&circuit, &tech, &cache, &exact_cfg, McMode::Exact, 0, |_| true)
         .expect("exact circuit mc")
         .expect("not cancelled");

@@ -71,6 +71,13 @@
 //!    order. The global [`MAX_TABLE_ENTRIES`] budget caps total
 //!    table memory.
 //!
+//! Every per-lane index the resolve kernel reads — table indices over
+//! support nets and each gate's input-vector bits — comes from one
+//! word-parallel bit transpose of the packed net words
+//! (`transpose_gather`): a byte-spread table moves 8 lanes of a net
+//! per word op into 8-bit lane fields, so a gather costs 8 word ops
+//! per net instead of one op per (net, lane).
+//!
 //! **The block path is bit-identical to the scalar path** — and hence
 //! to [`estimate`](crate::estimate) — for every mode: per-lane totals
 //! accumulate per-gate breakdowns sequentially in gate-id order (the
@@ -121,6 +128,63 @@ pub const MAX_TABLE_ENTRIES: usize = 1 << 20;
 
 /// `tbl_off` sentinel: gate (or term) not served by a table.
 const TABLE_FALLBACK: u32 = u32::MAX;
+
+/// Widest net list [`transpose_gather`] packs: two 8-bit fields per
+/// lane index.
+const MAX_GATHER_NETS: usize = 16;
+
+// Raising either bound past the 16-bit lane index must fail the build,
+// not truncate table indices.
+const _: () = assert!(MAX_SUPPORT_BITS <= MAX_GATHER_NETS && MAX_PINS <= MAX_GATHER_NETS);
+
+/// `SPREAD[b]` moves bit `r` of `b` to bit `8r`: one byte of a packed
+/// net word (8 lanes) becomes one bit in each byte of a `u64`.
+const SPREAD: [u64; 256] = {
+    let mut t = [0u64; 256];
+    let mut b = 0;
+    while b < 256 {
+        let mut r = 0;
+        while r < 8 {
+            t[b] |= ((b as u64 >> r) & 1) << (8 * r);
+            r += 1;
+        }
+        b += 1;
+    }
+    t
+};
+
+/// Per-lane indices over `nets`: bit `j` of lane `l`'s index is bit
+/// `l` of `words[nets[j]]` — the bit transpose of the nets' packed
+/// words. Each word is split into its 8 lane bytes; each byte is
+/// spread through [`SPREAD`] so its 8 lanes land one per byte of an
+/// accumulator, shifted to the net's bit position. Nets 0–7 fill the
+/// low accumulators, nets 8–15 the high ones, and the two halves are
+/// merged into 16-bit lane indices at the end: 8 word ops per net
+/// instead of one op per (net, lane). Every lane is computed, so
+/// lanes past a block's length hold the index of whatever pattern
+/// their words carry; callers read only the block's lanes.
+///
+/// # Panics
+/// If `nets` is longer than [`MAX_GATHER_NETS`].
+#[inline]
+fn transpose_gather(words: &[u64], nets: &[u32]) -> [u16; LANES] {
+    let mut acc = [[0u64; LANES / 8]; 2];
+    for (j, &net) in nets.iter().enumerate() {
+        let half = &mut acc[j / 8];
+        let bytes = words[net as usize].to_le_bytes();
+        for (a, &byte) in half.iter_mut().zip(&bytes) {
+            *a |= SPREAD[byte as usize] << (j % 8);
+        }
+    }
+    let mut idx = [0u16; LANES];
+    for (lanes, (lo, hi)) in idx.chunks_exact_mut(8).zip(acc[0].iter().zip(&acc[1])) {
+        let (lo, hi) = (lo.to_le_bytes(), hi.to_le_bytes());
+        for (r, i) in lanes.iter_mut().enumerate() {
+            *i = u16::from_le_bytes([lo[r], hi[r]]);
+        }
+    }
+    idx
+}
 
 /// One additive term of a split (tier-B) gate response: the pin-`pin`
 /// input response (or, at `pin == pins`, the output response), either
@@ -913,34 +977,12 @@ impl<'a> CompiledEstimator<'a> {
         }
     }
 
-    /// Per-lane input bits for gate `g`, gathered with the pin loop
-    /// outermost so each packed net word is loaded once per block
-    /// (not once per lane) and the lane loop is all register ops.
+    /// Per-lane input-vector bits for gate `g` (its `vc_base` offset),
+    /// via [`transpose_gather`] over the gate's input nets.
     #[inline]
-    fn gate_bits_block(&self, words: &[u64], g: usize, len: usize) -> [u16; LANES] {
+    fn gate_bits_block(&self, words: &[u64], g: usize) -> [u16; LANES] {
         let (s, e) = (self.in_off[g] as usize, self.in_off[g + 1] as usize);
-        let mut bits = [0u16; LANES];
-        for (k, &net) in self.in_nets[s..e].iter().enumerate() {
-            let w = words[net as usize];
-            for (lane, b) in bits[..len].iter_mut().enumerate() {
-                *b |= ((w >> lane & 1) as u16) << k;
-            }
-        }
-        bits
-    }
-
-    /// Per-lane table indices over support nets `sup`, net loop
-    /// outermost for the same one-load-per-word reason.
-    #[inline]
-    fn gather_block(words: &[u64], sup: &[u32], len: usize) -> [u32; LANES] {
-        let mut idx = [0u32; LANES];
-        for (j, &net) in sup.iter().enumerate() {
-            let w = words[net as usize];
-            for (lane, i) in idx[..len].iter_mut().enumerate() {
-                *i |= ((w >> lane & 1) as u32) << j;
-            }
-        }
-        idx
+        transpose_gather(words, &self.in_nets[s..e])
     }
 
     /// `NoLoading` block resolve: per-lane totals accumulate each
@@ -949,7 +991,7 @@ impl<'a> CompiledEstimator<'a> {
     fn resolve_nominal_block(&self, scratch: &mut BlockScratch, len: usize) {
         for g in 0..self.gate_cell.len() {
             let base = self.vc_base[g] as usize;
-            let bits = self.gate_bits_block(&scratch.words, g, len);
+            let bits = self.gate_bits_block(&scratch.words, g);
             for (lane, total) in scratch.totals[..len].iter_mut().enumerate() {
                 *total += self.vcs[base + bits[lane] as usize].nominal;
             }
@@ -978,7 +1020,7 @@ impl<'a> CompiledEstimator<'a> {
             cur[..len].fill(0.0);
             for &(h, pin) in loads {
                 let h = h as usize;
-                let bits = self.gate_bits_block(&scratch.words, h, len);
+                let bits = self.gate_bits_block(&scratch.words, h);
                 let base = self.vc_base[h] as usize;
                 for (lane, c) in cur[..len].iter_mut().enumerate() {
                     let vc = &self.vcs[base + bits[lane] as usize];
@@ -991,7 +1033,7 @@ impl<'a> CompiledEstimator<'a> {
             if off != TABLE_FALLBACK {
                 let sup = &t.sup_nets[t.sup_off[g] as usize..t.sup_off[g + 1] as usize];
                 let tbl = &t.tbl[off as usize..off as usize + (1usize << sup.len())];
-                let idx = Self::gather_block(&scratch.words, sup, len);
+                let idx = transpose_gather(&scratch.words, sup);
                 for (lane, total) in scratch.totals[..len].iter_mut().enumerate() {
                     *total += tbl[idx[lane] as usize];
                 }
@@ -1003,7 +1045,7 @@ impl<'a> CompiledEstimator<'a> {
                 // each `blut_eval` value drawn from a term table or
                 // evaluated at runtime from the per-lane currents.
                 let terms = &t.terms[t.term_off[g] as usize..t.term_off[g + 1] as usize];
-                let gbits = self.gate_bits_block(&scratch.words, g, len);
+                let gbits = self.gate_bits_block(&scratch.words, g);
                 let base = self.vc_base[g] as usize;
                 let mut acc = [LeakageBreakdown::default(); LANES];
                 for (lane, a) in acc[..len].iter_mut().enumerate() {
@@ -1013,7 +1055,7 @@ impl<'a> CompiledEstimator<'a> {
                     if term.tbl != TABLE_FALLBACK {
                         let sup = &t.sup_nets
                             [term.sup_start as usize..(term.sup_start + term.sup_len) as usize];
-                        let idx = Self::gather_block(&scratch.words, sup, len);
+                        let idx = transpose_gather(&scratch.words, sup);
                         for (lane, a) in acc[..len].iter_mut().enumerate() {
                             *a += t.tbl[term.tbl as usize + idx[lane] as usize];
                         }
@@ -1518,6 +1560,7 @@ mod tests {
     use nanoleak_netlist::normalize::normalize;
     use nanoleak_netlist::CircuitBuilder;
     use proptest::prelude::*;
+    use rand::Rng;
     use std::sync::Arc;
 
     fn library() -> Arc<CellLibrary> {
@@ -1849,6 +1892,40 @@ mod tests {
         assert!(bs.totals().is_empty());
     }
 
+    /// Per-lane bit extraction, one (net, lane) at a time: the
+    /// reference [`transpose_gather`] must reproduce.
+    fn naive_gather(words: &[u64], nets: &[u32]) -> [u16; LANES] {
+        let mut idx = [0u16; LANES];
+        for (lane, i) in idx.iter_mut().enumerate() {
+            for (j, &net) in nets.iter().enumerate() {
+                *i |= ((words[net as usize] >> lane & 1) as u16) << j;
+            }
+        }
+        idx
+    }
+
+    #[test]
+    fn transpose_gather_matches_per_lane_extraction() {
+        let words = [0u64, !0, 0xAAAA_AAAA_AAAA_AAAA, 0x8000_0000_0000_0001, 0x0123_4567_89AB_CDEF];
+        assert_eq!(transpose_gather(&words, &[]), [0u16; LANES]);
+        // Lane `l` of the all-ones word is set, so net `j` = 1 sets
+        // bit `j` everywhere.
+        assert_eq!(transpose_gather(&words, &[1; MAX_GATHER_NETS]), [u16::MAX; LANES]);
+        let idx = transpose_gather(&words, &[3, 2]);
+        assert_eq!((idx[0], idx[1], idx[62], idx[63]), (0b01, 0b10, 0b00, 0b11));
+        let cases: [&[u32]; 5] = [
+            &[4],
+            &[2, 4, 2, 3],
+            &[4, 0, 1, 2, 3, 4, 3, 2, 1, 0, 4, 2],
+            &[4, 3, 2, 1, 0, 4, 3, 2, 1, 0, 4, 3, 2, 1, 0, 4],
+            &[0, 1, 2, 3, 4, 0, 1, 2, 3],
+        ];
+        assert_eq!(cases[2].len(), MAX_SUPPORT_BITS);
+        for nets in cases {
+            assert_eq!(transpose_gather(&words, nets), naive_gather(&words, nets), "{nets:?}");
+        }
+    }
+
     #[test]
     fn resolve_lanes_maps_auto_and_rejects_garbage() {
         assert_eq!(resolve_lanes(0), LANES);
@@ -1891,6 +1968,24 @@ mod tests {
         assert!(g.inv_step.is_nan(), "non-uniform grid must not take the arithmetic path");
         let g = PlanGrid::describe(&[1.0, 2.0, 3.0], 0);
         assert!(g.inv_step.is_nan(), "grids not anchored at zero are not uniform");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The word-parallel transpose equals per-lane extraction for
+        /// random words and 0..=16 nets drawn with replacement from a
+        /// few words, so duplicate nets are common.
+        #[test]
+        fn transpose_gather_is_per_lane_extraction(
+            seed in any::<u64>(),
+            width in 0usize..=MAX_GATHER_NETS,
+        ) {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let words: Vec<u64> = (0..6).map(|_| rng.gen()).collect();
+            let nets: Vec<u32> = (0..width).map(|_| rng.gen_range(0..6u32)).collect();
+            prop_assert_eq!(transpose_gather(&words, &nets), naive_gather(&words, &nets));
+        }
     }
 
     proptest! {

@@ -617,9 +617,10 @@ pub struct DeltaLibraryProvider<'a> {
 impl<'a> DeltaLibraryProvider<'a> {
     /// Characterizes (or recalls from `memo`) the nominal library with
     /// its sensitivity slabs and mounts the per-die deriver over the
-    /// memo; `tol` is the per-entry linearization-error tolerance in
-    /// log units ([`nanoleak_cells::DEFAULT_DELTA_TOL`] is the
-    /// default-tuned bound).
+    /// memo; `tol` is the per-entry linearization-error tolerance, an
+    /// estimated relative error (`e^ε − 1`, magnitude-weighted;
+    /// [`nanoleak_cells::DEFAULT_DELTA_TOL`] is the default-tuned
+    /// bound).
     ///
     /// # Errors
     /// As [`MemoLibraryCache::get_or_characterize_with_sens`]; callers
@@ -640,7 +641,8 @@ impl<'a> DeltaLibraryProvider<'a> {
         &self.inner.nominal
     }
 
-    /// The per-entry linearization-error tolerance (log units).
+    /// The per-entry linearization-error tolerance (estimated
+    /// relative error).
     pub fn tol(&self) -> f64 {
         self.inner.tol
     }

@@ -129,7 +129,8 @@ pub enum McMode {
     /// through the 64-lane block kernel. Degrades to [`McMode::Exact`]
     /// if the traced nominal characterization fails.
     Fast {
-        /// Per-entry linearization-error tolerance (log units).
+        /// Per-entry linearization-error tolerance, as an estimated
+        /// relative error (`e^ε − 1`, magnitude-weighted).
         tol: f64,
         /// Leading samples re-run exactly for the deviation report.
         deviation_probe: usize,

@@ -946,7 +946,11 @@ pub fn resolve_shard_samples(body: &Body, samples: usize) -> Result<usize, ApiEr
 
 /// The Monte-Carlo configuration of a request: CLI defaults applied,
 /// work bounded, sigma overrides honored (`"sigma_vt"` is the paper's
-/// Fig. 11 sweep variable — the inter-die threshold sigma in volts).
+/// Fig. 11 sweep variable — the inter-die threshold sigma in volts;
+/// `"sigma_vt_intra"` is the intra-die threshold sigma in volts, but
+/// at circuit scope it is one die-wide draw shared by every
+/// transistor, so it acts as extra inter-die variance, not
+/// per-device mismatch).
 pub fn resolve_mc_config(body: &Body, circuit: &Circuit) -> Result<CircuitMcConfig, ApiError> {
     let samples = check_limit("samples", body.get("samples", 200usize)?, MAX_REQUEST_MC_SAMPLES)?;
     let vectors = check_limit("vectors", body.get("vectors", 1usize)?, MAX_REQUEST_VECTORS)?;

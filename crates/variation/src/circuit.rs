@@ -174,7 +174,8 @@ pub struct DieDiag {
     /// Entries whose linearization-error estimate exceeded the
     /// tolerance and re-solved exactly.
     pub fallbacks: u32,
-    /// Largest per-entry linearization-error estimate seen (log units).
+    /// Largest per-entry linearization-error estimate seen (estimated
+    /// relative error).
     pub max_est: f64,
 }
 
@@ -207,7 +208,8 @@ pub struct SensDeltaProvider<F> {
     /// Per-`(cell, vector)` sensitivity models from the traced nominal
     /// characterization.
     pub sens: Arc<LibrarySens>,
-    /// Per-entry linearization-error tolerance (log units); entries
+    /// Per-entry linearization-error tolerance, as an estimated
+    /// relative error (`e^ε − 1`, magnitude-weighted); entries
     /// estimating above it re-solve exactly.
     pub tol: f64,
     /// Full-characterization fallback for unrecognized requests.
@@ -378,7 +380,8 @@ pub struct FastMcDiag {
     /// Entries whose linearization-error estimate exceeded the
     /// tolerance and re-solved exactly.
     pub entries_fallback: u64,
-    /// Largest per-entry linearization-error estimate seen (log units).
+    /// Largest per-entry linearization-error estimate seen (estimated
+    /// relative error).
     pub max_error_estimate: f64,
 }
 
@@ -412,7 +415,8 @@ impl FastMcDiag {
 pub struct FastMcReport {
     /// Derivation diagnostics summed over all dies.
     pub diag: FastMcDiag,
-    /// The linearization-error tolerance the run used (log units).
+    /// The linearization-error tolerance the run used (estimated
+    /// relative error).
     pub tol: f64,
     /// Samples re-run through the exact path for the deviation check.
     pub probed: usize,

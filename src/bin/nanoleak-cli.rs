@@ -132,7 +132,10 @@ mc options:
   --samples N         Monte-Carlo samples / perturbed dies (default 200)
   --sigma-vt V        inter-die threshold-voltage sigma in volts, the
                       paper's Fig. 11 sweep variable (default 0.030)
-  --sigma-vt-intra V  intra-die threshold sigma in volts (default 0.030)
+  --sigma-vt-intra V  intra-die threshold sigma in volts (default 0.030).
+                      At circuit scope it is one die-wide draw shared by
+                      every transistor, so it acts as extra inter-die
+                      variance, not per-device mismatch
   --shard-samples N   stream the run in shards of N samples (progress per
                       shard on stderr; merged summary is bit-identical to
                       a monolithic run; default 0 = one shard)
