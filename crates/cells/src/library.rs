@@ -77,21 +77,25 @@ impl CellLibrary {
     }
 
     /// A process-wide shared library for `tech` at `temp` with default
-    /// options, characterized on first use. Characterization takes a
-    /// few seconds for the full family; sharing avoids re-running it in
-    /// every test or benchmark.
+    /// options, characterized on first use — a test, example and bench
+    /// convenience (see [`CellLibrary::shared_with_options`]).
     pub fn shared(tech: &Technology, temp: f64) -> Arc<CellLibrary> {
         Self::shared_with_options(tech, temp, &CharacterizeOptions::default())
     }
 
     /// Like [`CellLibrary::shared`], but keyed on explicit options.
     ///
+    /// A test, example and bench convenience: characterizing once per
+    /// process saves seconds per test. The memo is unbounded, holds its
+    /// lock across characterization, and panics on non-convergence, so
+    /// production code goes through the engine's `LibraryCache` /
+    /// `MemoLibraryCache` instead.
+    ///
     /// The memo key is [`CellLibrary::request_key`] — a hash of the
     /// *full* serialized `(tech, temp, opts)` request — so two
     /// technologies that share a name but differ in any device
     /// parameter (a scaled `vdd`, a tweaked oxide thickness, ...) are
-    /// distinct cache entries, matching the discipline of the engine's
-    /// on-disk `*.nlc` cache.
+    /// distinct entries.
     ///
     /// # Panics
     /// Panics if the characterization fails to converge (the default

@@ -14,6 +14,7 @@ use std::time::Instant;
 use nanoleak_core::{
     BlockScratch, CompiledEstimator, EstimateError, EstimatorMode, PatternBlock, LANES,
 };
+use nanoleak_variation::KernelCounts;
 
 /// Process-wide block-kernel telemetry.
 pub struct BlockMetrics {
@@ -91,14 +92,13 @@ pub fn eval_packed_block_timed(
     Ok(())
 }
 
-/// Records `blocks` block evaluations and `tail_lane_waste` unused
-/// tail lanes that happened outside [`eval_block_timed`] — the
-/// Monte-Carlo path accounts for its per-die arms arithmetically so
-/// `nanoleak-variation` stays free of observability dependencies.
-pub fn record_external_blocks(blocks: u64, tail_lane_waste: u64) {
+/// Records the packed-kernel work a Monte-Carlo range returned. The
+/// counts are tallied at the kernel calls inside `nanoleak-variation`,
+/// which stays free of observability dependencies.
+pub fn record_kernel_counts(counts: &KernelCounts) {
     let m = block_metrics();
-    m.blocks.add(blocks);
-    m.tail_lane_waste.add(tail_lane_waste);
+    m.blocks.add(counts.blocks);
+    m.tail_lane_waste.add(counts.tail_lane_waste);
 }
 
 #[cfg(test)]
@@ -108,7 +108,7 @@ mod tests {
     #[test]
     fn metrics_register_once_and_accumulate() {
         let before = block_metrics().blocks.get();
-        record_external_blocks(3, 5);
+        record_kernel_counts(&KernelCounts { blocks: 3, tail_lane_waste: 5 });
         assert_eq!(block_metrics().blocks.get(), before + 3);
         // Same statics on re-entry: the registry never double-registers.
         let again = block_metrics();

@@ -34,7 +34,7 @@ use nanoleak_cells::{
 };
 use nanoleak_device::Technology;
 use nanoleak_obs::{global, Counter, Histogram};
-use nanoleak_variation::{DeltaProvider, DieDiag, LibraryProvider, McError, SensDeltaProvider};
+use nanoleak_variation::{DieDiag, LibraryProvider, McError, SensDeltaProvider};
 use parking_lot::Mutex;
 
 use crate::EngineError;
@@ -181,10 +181,9 @@ impl LibraryCache {
     /// The request key: FNV-1a over the serialized (tech, temp,
     /// options) triple. Every field of the technology (device designs
     /// included) participates, so e.g. an oxide-thickness tweak yields
-    /// a different key. Delegates to [`CellLibrary::request_key`] —
-    /// the same hash keys the cells crate's process-wide memo, so
-    /// every cache layer (RAM memo, shared-library memo, `*.nlc`
-    /// disk files) agrees on request identity.
+    /// a different key. Delegates to [`CellLibrary::request_key`], so
+    /// the RAM memo and the `*.nlc` disk files agree on request
+    /// identity.
     pub fn request_key(tech: &Technology, temp: f64, opts: &CharacterizeOptions) -> u64 {
         CellLibrary::request_key(tech, temp, opts)
     }
@@ -636,11 +635,6 @@ impl<'a> DeltaLibraryProvider<'a> {
         Ok(Self { inner: SensDeltaProvider { nominal, sens, tol, fallback: memo } })
     }
 
-    /// The nominal library every die derives from.
-    pub fn nominal(&self) -> &Arc<CellLibrary> {
-        &self.inner.nominal
-    }
-
     /// The per-entry linearization-error tolerance (estimated
     /// relative error).
     pub fn tol(&self) -> f64 {
@@ -648,7 +642,7 @@ impl<'a> DeltaLibraryProvider<'a> {
     }
 }
 
-impl DeltaProvider for DeltaLibraryProvider<'_> {
+impl LibraryProvider for DeltaLibraryProvider<'_> {
     fn die_library(
         &self,
         tech: &Technology,
@@ -667,17 +661,6 @@ impl DeltaProvider for DeltaLibraryProvider<'_> {
             metrics.fallback_unrecognized.inc();
         }
         Ok((lib, diag))
-    }
-}
-
-impl LibraryProvider for DeltaLibraryProvider<'_> {
-    fn library(
-        &self,
-        tech: &Technology,
-        temp: f64,
-        opts: &CharacterizeOptions,
-    ) -> Result<Arc<CellLibrary>, McError> {
-        self.die_library(tech, temp, opts).map(|(lib, _)| lib)
     }
 }
 

@@ -11,25 +11,26 @@
 //! finishes with. Merged results are therefore **bit-identical for any
 //! shard size and thread count**.
 //!
-//! Per-sample libraries flow through the [`MemoLibraryCache`] (which
-//! implements [`LibraryProvider`]): unique perturbed dies miss and
-//! characterize, but re-running the same seed — a re-submitted job, a
-//! bench re-measure, the nominal corner — hits RAM or disk instead of
-//! the solver.
+//! Per-sample libraries come from one [`LibraryProvider`]: the
+//! [`MemoLibraryCache`] on the exact path — unique perturbed dies miss
+//! and characterize, but re-running the same seed (a re-submitted job,
+//! a bench re-measure, the nominal corner) hits RAM or disk instead of
+//! the solver — or the [`DeltaLibraryProvider`] mounted on that memo
+//! on the fast path. The packed-kernel work each range reports lands
+//! in the engine's block counters.
 
 use std::time::Instant;
 
 use nanoleak_cells::DEFAULT_DELTA_TOL;
-use nanoleak_core::{resolve_lanes, LANES};
 use nanoleak_device::Technology;
 use nanoleak_netlist::Circuit;
 use nanoleak_variation::{
-    run_circuit_mc_range, run_circuit_mc_range_fast, summarize, CircuitMcConfig, FastMcDiag,
-    FastMcReport, LibraryProvider, McError, McSample, McSummary, DEFAULT_HIST_BINS,
-    TABLE_AMORTIZE_VECTORS,
+    run_circuit_mc_range, summarize, CircuitMcConfig, DieDiag, FastMcDiag, FastMcReport,
+    LibraryProvider, McError, McSample, McSummary, DEFAULT_HIST_BINS,
 };
 use serde::{Deserialize, Serialize};
 
+use crate::block::record_kernel_counts;
 use crate::cache::{delta_metrics, DeltaLibraryProvider, MemoLibraryCache};
 use crate::sweep::shard_count;
 use crate::EngineError;
@@ -47,17 +48,18 @@ fn mc_shard_seconds() -> &'static nanoleak_obs::Histogram {
 }
 
 impl LibraryProvider for MemoLibraryCache {
-    fn library(
+    fn die_library(
         &self,
         tech: &Technology,
         temp: f64,
         opts: &nanoleak_cells::CharacterizeOptions,
-    ) -> Result<std::sync::Arc<nanoleak_cells::CellLibrary>, McError> {
-        self.get_or_characterize(tech, temp, opts).map(|(lib, _)| lib).map_err(|e| match e {
-            EngineError::Solver(e) => McError::Solver(e),
-            EngineError::Estimate(e) => McError::Estimate(e),
-            other => McError::Library(other.to_string()),
-        })
+    ) -> Result<(std::sync::Arc<nanoleak_cells::CellLibrary>, DieDiag), McError> {
+        match self.get_or_characterize(tech, temp, opts) {
+            Ok((lib, _)) => Ok((lib, DieDiag::default())),
+            Err(EngineError::Solver(e)) => Err(McError::Solver(e)),
+            Err(EngineError::Estimate(e)) => Err(McError::Estimate(e)),
+            Err(other) => Err(McError::Library(other.to_string())),
+        }
     }
 }
 
@@ -125,9 +127,8 @@ pub enum McMode {
     /// the pre-existing bit-exact path.
     Exact,
     /// Dies derive their library from the nominal's traced
-    /// sensitivities ([`DeltaLibraryProvider`]); both arms evaluate
-    /// through the 64-lane block kernel. Degrades to [`McMode::Exact`]
-    /// if the traced nominal characterization fails.
+    /// sensitivities ([`DeltaLibraryProvider`]). Degrades to
+    /// [`McMode::Exact`] if the traced nominal characterization fails.
     Fast {
         /// Per-entry linearization-error tolerance, as an estimated
         /// relative error (`e^ε − 1`, magnitude-weighted).
@@ -216,11 +217,13 @@ pub fn mc_streaming(
 ///
 /// [`McMode::Fast`] characterizes the nominal technology once with
 /// traced sensitivities and derives every die's library from it
-/// (`nominal + J·Δ` with per-entry fallback), running both fixture
-/// arms through the 64-lane block kernel. After the timed phase, the
-/// first `deviation_probe` samples re-run through the exact path and
-/// the measured max/mean relative deviation lands in `summary.fast`
-/// (the probe counts toward `elapsed` but not `samples_per_sec`).
+/// (`nominal + J·Δ` with per-entry fallback); [`McMode::Exact`]
+/// characterizes every die through the memo. Both modes then run one
+/// per-die pipeline that differs only in its library provider. After
+/// the timed phase, the first `deviation_probe` samples re-run
+/// through the exact path and the measured max/mean relative
+/// deviation lands in `summary.fast` (the probe counts toward
+/// `elapsed` but not `samples_per_sec`).
 /// If the traced nominal characterization fails, the run degrades to
 /// exact and `nanoleak_mc_fallback_total{reason="sens-build"}` is
 /// incremented. Fast results within one mode are bit-identical across
@@ -269,6 +272,10 @@ pub fn mc_streaming_mode(
             }
         }
     };
+    let provider: &dyn LibraryProvider = match &prepared {
+        Some((delta, _)) => delta,
+        None => cache,
+    };
 
     // Raw samples concatenate in index order; the final summary is the
     // one sequential reduction the monolithic path runs (32 B/sample
@@ -288,36 +295,13 @@ pub fn mc_streaming_mode(
             }));
         }
         let shard_start = Instant::now();
-        let samples = {
+        let (samples, shard_diag, kernel) = {
             let _span = nanoleak_obs::span!("estimate", shard = shard, samples = len);
-            match &prepared {
-                Some((provider, _)) => {
-                    let (samples, shard_diag) =
-                        run_circuit_mc_range_fast(circuit, tech, provider, config, start, len)?;
-                    diag.merge(&shard_diag);
-                    samples
-                }
-                None => run_circuit_mc_range(circuit, tech, cache, config, start, len)?,
-            }
+            run_circuit_mc_range(circuit, tech, provider, config, start, len)?
         };
         mc_shard_seconds().record_duration(shard_start.elapsed());
-        if resolve_lanes(config.lanes) != 1 {
-            // `nanoleak-variation` stays free of observability
-            // dependencies, so its per-die block-kernel work is
-            // accounted for here arithmetically: one unloaded-arm
-            // block per LANES patterns per sample, and on the fast
-            // path the loaded arm runs as blocks too once the pattern
-            // volume pays for its response tables (below that it runs
-            // the per-lane scalar service, which is not a block).
-            let loaded_blocks = prepared.is_some() && config.vectors >= TABLE_AMORTIZE_VECTORS;
-            let arms = if loaded_blocks { 2 } else { 1 };
-            let per_sample = config.vectors.div_ceil(LANES) as u64;
-            let tail = ((LANES - config.vectors % LANES) % LANES) as u64;
-            crate::block::record_external_blocks(
-                arms * len as u64 * per_sample,
-                arms * len as u64 * tail,
-            );
-        }
+        diag.merge(&shard_diag);
+        record_kernel_counts(&kernel);
         let partial = {
             let _span = nanoleak_obs::span!("merge", shard = shard);
             let partial = McShard {
@@ -340,7 +324,7 @@ pub fn mc_streaming_mode(
         let _span = nanoleak_obs::span!("merge");
         summarize(&merged, DEFAULT_HIST_BINS)
     };
-    if let Some((provider, deviation_probe)) = &prepared {
+    if let Some((delta, deviation_probe)) = &prepared {
         // Deviation probe, after the timed phase: re-run the leading
         // samples bit-exactly and compare total leakage per arm. The
         // probe's full characterizations land in the memo, so a later
@@ -348,13 +332,14 @@ pub fn mc_streaming_mode(
         let probed = (*deviation_probe).min(config.samples);
         let (max_deviation, mean_deviation) = if probed > 0 {
             let _span = nanoleak_obs::span!("deviation-probe", samples = probed);
-            let exact = run_circuit_mc_range(circuit, tech, cache, config, 0, probed)?;
+            let (exact, _, kernel) = run_circuit_mc_range(circuit, tech, cache, config, 0, probed)?;
+            record_kernel_counts(&kernel);
             deviation(&merged[..probed], &exact)
         } else {
             (0.0, 0.0)
         };
         summary.fast =
-            Some(FastMcReport { diag, tol: provider.tol(), probed, max_deviation, mean_deviation });
+            Some(FastMcReport { diag, tol: delta.tol(), probed, max_deviation, mean_deviation });
     }
     Ok(Some(McReport {
         summary,

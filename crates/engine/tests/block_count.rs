@@ -1,6 +1,8 @@
-//! `nanoleak_block_blocks_total` counts only the packed blocks the MC
-//! arms actually run. The counter is process-wide, so this test lives
-//! alone in its own test binary: nothing else moves it while it reads.
+//! `nanoleak_block_blocks_total` counts exactly the packed-kernel
+//! calls an MC run makes, the fast path's deviation probe included.
+//! The counter is process-wide, so this test lives alone in its own
+//! test binary, as one test function: nothing else moves it while it
+//! reads.
 
 use nanoleak_cells::CellType;
 use nanoleak_device::Technology;
@@ -18,9 +20,9 @@ fn small_circuit() -> Circuit {
     b.build().unwrap()
 }
 
-/// Blocks recorded by one fast-MC run of `samples` dies at `vectors`
-/// patterns each.
-fn fast_mc_blocks(samples: usize, vectors: usize) -> u64 {
+/// `(blocks, tail_lane_waste)` recorded by one MC run of `samples`
+/// dies at `vectors` patterns each.
+fn mc_blocks(mode: McMode, samples: usize, vectors: usize) -> (u64, u64) {
     let circuit = small_circuit();
     let config = CircuitMcConfig {
         samples,
@@ -30,19 +32,26 @@ fn fast_mc_blocks(samples: usize, vectors: usize) -> u64 {
         ..Default::default()
     };
     let cache = MemoLibraryCache::memory_only();
-    let before = block_metrics().blocks.get();
-    mc_streaming_mode(&circuit, &Technology::d25(), &cache, &config, McMode::fast(), 0, |_| true)
+    let m = block_metrics();
+    let before = (m.blocks.get(), m.tail_lane_waste.get());
+    mc_streaming_mode(&circuit, &Technology::d25(), &cache, &config, mode, 0, |_| true)
         .unwrap()
         .expect("not cancelled");
-    block_metrics().blocks.get() - before
+    (m.blocks.get() - before.0, m.tail_lane_waste.get() - before.1)
 }
 
 #[test]
-fn fast_mc_counts_the_loaded_arm_only_when_it_runs_blocks() {
-    // 64 vectors: one block per die on the unloaded arm; the loaded arm
-    // runs the per-lane scalar service and adds nothing.
+fn mc_counts_every_packed_kernel_call() {
+    // 64 vectors: one unloaded-arm block per die; the loaded arm runs
+    // the per-lane scalar service and adds nothing. The fast run's
+    // deviation probe re-runs all 3 dies exactly: 3 + 3 blocks.
     const { assert!(64 < TABLE_AMORTIZE_VECTORS) };
-    assert_eq!(fast_mc_blocks(3, 64), 3, "exactly one arm's blocks");
-    // At the table volume both arms run blocks: 4 blocks per arm.
-    assert_eq!(fast_mc_blocks(2, TABLE_AMORTIZE_VECTORS), 2 * 2 * 4, "both arms' blocks");
+    assert_eq!(mc_blocks(McMode::fast(), 3, 64), (6, 0), "fast dies plus probe");
+    assert_eq!(mc_blocks(McMode::Exact, 3, 64), (3, 0), "exact: one arm's blocks");
+    // At the table volume both arms run 4 blocks per die, in the timed
+    // phase and in the probe alike: 2 dies × 2 arms × 4 × 2 passes.
+    assert_eq!(mc_blocks(McMode::fast(), 2, TABLE_AMORTIZE_VECTORS), (32, 0), "both arms");
+    // 100 vectors: a full block and a 36-pattern tail per die, the
+    // tail wasting 28 lanes.
+    assert_eq!(mc_blocks(McMode::Exact, 3, 100), (6, 3 * 28), "tail lanes");
 }

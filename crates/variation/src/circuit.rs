@@ -5,8 +5,9 @@
 //! inverter fixture ([`crate::run_inverter_mc`], Figs. 10–11). This
 //! module scales the question to whole logic circuits: every sample
 //! draws a die-wide process perturbation, derives a perturbed
-//! [`Technology`], characterizes it into a [`CellLibrary`] (through a
-//! pluggable, cacheable [`LibraryProvider`]), and estimates the
+//! [`Technology`], obtains its [`CellLibrary`] from a pluggable,
+//! cacheable [`LibraryProvider`] (a full characterization, or a
+//! derivation from nominal sensitivities), and estimates the
 //! circuit's leakage with and without loading on a compiled
 //! [`CompiledEstimator`] plan.
 //!
@@ -102,27 +103,31 @@ impl From<EstimateError> for McError {
     }
 }
 
-/// Supplies the characterized library for one perturbed technology.
+/// Supplies the characterized library for one perturbed die.
 ///
 /// Every Monte-Carlo sample asks for a fresh `(tech, temp, options)`
-/// characterization; where that answer comes from is the caller's
-/// policy. [`SolverProvider`] characterizes directly (hermetic tests,
-/// one-shot runs); the engine layers its `MemoLibraryCache` behind
-/// this trait so repeated runs of the same seed hit RAM/disk instead
-/// of the solver. Implementations must be deterministic: the same
-/// request must yield the same library bit-for-bit, or the MC loses
-/// its reproducibility guarantee.
+/// library; where that answer comes from is the caller's policy.
+/// [`SolverProvider`] characterizes directly (hermetic tests, one-shot
+/// runs); the engine layers its `MemoLibraryCache` behind this trait
+/// so repeated runs of the same seed hit RAM/disk instead of the
+/// solver; [`SensDeltaProvider`] derives dies from a nominal's traced
+/// sensitivities (the fast path). Implementations must be
+/// deterministic: the same request must yield the same library and
+/// diagnostics bit-for-bit, or the MC loses its reproducibility
+/// guarantee.
 pub trait LibraryProvider: Sync {
-    /// The characterized library for `tech` at `temp`.
+    /// The library for `tech` at `temp`, plus how it was produced
+    /// (`DieDiag::default()` for a full characterization).
     ///
     /// # Errors
-    /// [`McError`] describing the characterization or cache failure.
-    fn library(
+    /// [`McError`] describing the characterization, derivation or
+    /// cache failure.
+    fn die_library(
         &self,
         tech: &Technology,
         temp: f64,
         opts: &CharacterizeOptions,
-    ) -> Result<Arc<CellLibrary>, McError>;
+    ) -> Result<(Arc<CellLibrary>, DieDiag), McError>;
 }
 
 /// The trivial provider: characterize every request from scratch.
@@ -130,44 +135,32 @@ pub trait LibraryProvider: Sync {
 pub struct SolverProvider;
 
 impl LibraryProvider for SolverProvider {
-    fn library(
+    fn die_library(
         &self,
         tech: &Technology,
         temp: f64,
         opts: &CharacterizeOptions,
-    ) -> Result<Arc<CellLibrary>, McError> {
-        Ok(Arc::new(CellLibrary::characterize(tech, temp, opts)?))
+    ) -> Result<(Arc<CellLibrary>, DieDiag), McError> {
+        Ok((Arc::new(CellLibrary::characterize(tech, temp, opts)?), DieDiag::default()))
     }
 }
 
 impl<P: LibraryProvider + ?Sized> LibraryProvider for &P {
-    fn library(
+    fn die_library(
         &self,
         tech: &Technology,
         temp: f64,
         opts: &CharacterizeOptions,
-    ) -> Result<Arc<CellLibrary>, McError> {
-        (**self).library(tech, temp, opts)
+    ) -> Result<(Arc<CellLibrary>, DieDiag), McError> {
+        (**self).die_library(tech, temp, opts)
     }
 }
 
-impl<P: LibraryProvider + Send + ?Sized> LibraryProvider for Arc<P> {
-    fn library(
-        &self,
-        tech: &Technology,
-        temp: f64,
-        opts: &CharacterizeOptions,
-    ) -> Result<Arc<CellLibrary>, McError> {
-        (**self).library(tech, temp, opts)
-    }
-}
-
-/// How one die's library was produced by a [`DeltaProvider`].
+/// How one die's library was produced by a [`LibraryProvider`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DieDiag {
     /// `true` when the library was derived from nominal sensitivities,
-    /// `false` when the die fell back to a full characterization (its
-    /// perturbation was not recognized as a delta of the nominal).
+    /// `false` when the die ran a full characterization.
     pub derived: bool,
     /// `(cell, vector)` entries in the derived library (0 on fallback).
     pub entries: u32,
@@ -179,28 +172,11 @@ pub struct DieDiag {
     pub max_est: f64,
 }
 
-/// Supplies per-die libraries for the fast Monte-Carlo path, reporting
-/// per die how the library was produced (delta-derived vs. fully
-/// solved). Implementations must be deterministic, like
-/// [`LibraryProvider`].
-pub trait DeltaProvider: Sync {
-    /// The library for one perturbed die, plus derivation diagnostics.
-    ///
-    /// # Errors
-    /// [`McError`] describing the derivation or fallback failure.
-    fn die_library(
-        &self,
-        tech: &Technology,
-        temp: f64,
-        opts: &CharacterizeOptions,
-    ) -> Result<(Arc<CellLibrary>, DieDiag), McError>;
-}
-
-/// The reference [`DeltaProvider`]: derives each die from a nominal
-/// library's recorded sensitivities ([`delta_library`]) when the die's
-/// perturbation round-trips through [`infer_deltas`], and falls back
-/// to `fallback` (a plain [`LibraryProvider`]) otherwise. The engine
-/// wraps this over its RAM memo and adds metrics.
+/// The reference fast-path [`LibraryProvider`]: derives each die from
+/// a nominal library's recorded sensitivities ([`delta_library`]) when
+/// the die's perturbation round-trips through [`infer_deltas`], and
+/// forwards to `fallback` otherwise. The engine wraps this over its
+/// RAM memo and adds metrics.
 #[derive(Debug, Clone)]
 pub struct SensDeltaProvider<F> {
     /// The nominal library the sensitivities were recorded against.
@@ -216,7 +192,7 @@ pub struct SensDeltaProvider<F> {
     pub fallback: F,
 }
 
-impl<F: LibraryProvider + Sync> DeltaProvider for SensDeltaProvider<F> {
+impl<F: LibraryProvider> LibraryProvider for SensDeltaProvider<F> {
     fn die_library(
         &self,
         tech: &Technology,
@@ -235,8 +211,7 @@ impl<F: LibraryProvider + Sync> DeltaProvider for SensDeltaProvider<F> {
                 return Ok((Arc::new(lib), diag));
             }
         }
-        let lib = self.fallback.library(tech, temp, opts)?;
-        Ok((lib, DieDiag::default()))
+        self.fallback.die_library(tech, temp, opts)
     }
 }
 
@@ -491,6 +466,31 @@ fn sample_tech(nominal: &Technology, config: &CircuitMcConfig, index: usize) -> 
 /// vectors. Four full blocks is roughly break-even.
 pub const TABLE_AMORTIZE_VECTORS: usize = 4 * LANES;
 
+/// Packed-kernel work actually run, tallied at each 64-lane block
+/// call. The per-lane scalar service and the `lanes = 1` path add
+/// nothing. Kept out of [`FastMcDiag`] and every serialized type:
+/// the counts follow `lanes`, which never changes a result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct KernelCounts {
+    /// Blocks evaluated through the packed kernel.
+    pub blocks: u64,
+    /// Unused lanes of partially-filled tail blocks (a block carrying
+    /// `n < 64` patterns wastes `64 - n` lanes).
+    pub tail_lane_waste: u64,
+}
+
+impl KernelCounts {
+    fn block(&mut self, patterns: usize) {
+        self.blocks += 1;
+        self.tail_lane_waste += (LANES - patterns) as u64;
+    }
+
+    fn add(&mut self, o: &KernelCounts) {
+        self.blocks += o.blocks;
+        self.tail_lane_waste += o.tail_lane_waste;
+    }
+}
+
 /// Per-worker reusable buffers for circuit MC samples. Plans share
 /// the circuit's dimensions, so every buffer warms once and then
 /// serves each per-die plan allocation-free.
@@ -503,22 +503,22 @@ struct SampleScratch {
 }
 
 /// Evaluates one die's plan over the shared pattern set, returning the
-/// (loaded, unloaded) sums in pattern-index order.
+/// (loaded, unloaded) sums in pattern-index order and tallying every
+/// packed-kernel call into `counts`.
 ///
-/// `block_loaded` selects the loaded (Lut) arm's kernel on the block
-/// path: `false` runs the per-lane scalar service, `true` runs the
-/// 64-lane block kernel with response tables. A per-die plan is
-/// evaluated exactly `vectors` times and then dropped, so tables only
-/// pay for themselves past [`TABLE_AMORTIZE_VECTORS`] — callers pick
-/// the flag from the pattern volume. Core guarantees both kernels
-/// agree bit-for-bit, so the flag never changes a result, only its
-/// cost.
+/// On the block path the loaded (Lut) arm runs the 64-lane block
+/// kernel with response tables from [`TABLE_AMORTIZE_VECTORS`]
+/// patterns on, and the per-lane scalar service below that: a per-die
+/// plan is evaluated exactly `vectors` times and then dropped, so
+/// tables only pay for themselves at volume. Core guarantees both
+/// kernels agree bit-for-bit, so the choice never changes a result,
+/// only its cost.
 fn evaluate_plan(
     plan: &CompiledEstimator,
     circuit: &Circuit,
     config: &CircuitMcConfig,
     scratch: &mut SampleScratch,
-    block_loaded: bool,
+    counts: &mut KernelCounts,
 ) -> Result<(LeakageBreakdown, LeakageBreakdown), McError> {
     if resolve_lanes(config.lanes) == 1 {
         // Sequential index-order mean over the shared pattern set;
@@ -537,10 +537,10 @@ fn evaluate_plan(
     } else {
         // Block path: each 64-pattern chunk of the shared set is
         // packed once and reused by both arms. The unloaded arm runs
-        // the word-parallel kernel (no tables needed); the loaded arm
-        // runs the kernel `block_loaded` selects. Each arm's sum adds
-        // its per-pattern values in index order, so both means are
-        // bit-identical to the scalar path's.
+        // the word-parallel kernel (no tables needed). Each arm's sum
+        // adds its per-pattern values in index order, so both means
+        // are bit-identical to the scalar path's.
+        let tables = config.vectors >= TABLE_AMORTIZE_VECTORS;
         let mut loaded = LeakageBreakdown::ZERO;
         let mut unloaded = LeakageBreakdown::ZERO;
         if scratch.pack.pi_words().len() != circuit.inputs().len()
@@ -558,8 +558,9 @@ fn evaluate_plan(
                 scratch.pattern.fill_random(circuit, &mut rng);
                 scratch.pack.push(&scratch.pattern);
             }
-            if block_loaded {
+            if tables {
                 plan.estimate_block_into(&mut scratch.block, &scratch.pack, EstimatorMode::Lut)?;
+                counts.block(n);
             } else {
                 plan.estimate_block_scalar_into(
                     &mut scratch.block,
@@ -571,6 +572,7 @@ fn evaluate_plan(
                 loaded += *t;
             }
             plan.estimate_block_into(&mut scratch.block, &scratch.pack, EstimatorMode::NoLoading)?;
+            counts.block(n);
             for t in scratch.block.totals() {
                 unloaded += *t;
             }
@@ -587,43 +589,33 @@ fn run_circuit_sample(
     config: &CircuitMcConfig,
     index: usize,
     scratch: &mut SampleScratch,
-) -> Result<McSample, McError> {
-    let tech = sample_tech(nominal, config, index);
-    let lib = provider.library(&tech, config.op.temp, &config.char_opts)?;
-    let plan = CompiledEstimator::compile(circuit, &lib)?;
-    let (loaded, unloaded) = evaluate_plan(&plan, circuit, config, scratch, false)?;
-    Ok(McSample {
-        loaded: loaded.scaled(1.0 / config.vectors as f64),
-        unloaded: unloaded.scaled(1.0 / config.vectors as f64),
-    })
-}
-
-fn run_circuit_sample_fast(
-    circuit: &Circuit,
-    nominal: &Technology,
-    provider: &dyn DeltaProvider,
-    config: &CircuitMcConfig,
-    index: usize,
-    scratch: &mut SampleScratch,
-) -> Result<(McSample, DieDiag), McError> {
+) -> Result<(McSample, DieDiag, KernelCounts), McError> {
     let tech = sample_tech(nominal, config, index);
     let (lib, diag) = provider.die_library(&tech, config.op.temp, &config.char_opts)?;
     let plan = CompiledEstimator::compile(circuit, &lib)?;
-    let tables = config.vectors >= TABLE_AMORTIZE_VECTORS;
-    let (loaded, unloaded) = evaluate_plan(&plan, circuit, config, scratch, tables)?;
+    let mut counts = KernelCounts::default();
+    let (loaded, unloaded) = evaluate_plan(&plan, circuit, config, scratch, &mut counts)?;
     let sample = McSample {
         loaded: loaded.scaled(1.0 / config.vectors as f64),
         unloaded: unloaded.scaled(1.0 / config.vectors as f64),
     };
-    Ok((sample, diag))
+    Ok((sample, diag, counts))
 }
 
 /// Runs the contiguous sample range `start .. start + len` of the
-/// Monte Carlo, returning paired samples in index order — the
-/// building block streaming front-ends shard over. Each worker keeps
-/// one scratch set (scalar, block, and pattern buffers) across its
-/// samples — plans share the circuit's dimensions, so everything
-/// warms once.
+/// Monte Carlo — the building block streaming front-ends shard over.
+/// Returns the paired samples in index order, the per-die derivation
+/// diagnostics summed in index order, and the packed-kernel work the
+/// range ran. Each worker keeps one scratch set (scalar, block, and
+/// pattern buffers) across its samples — plans share the circuit's
+/// dimensions, so everything warms once.
+///
+/// The provider decides the mode: [`SolverProvider`] (or the engine's
+/// memo) characterizes every die exactly, [`SensDeltaProvider`]
+/// derives dies from nominal sensitivities. Either way, samples and
+/// diagnostics are bit-identical for any thread count, shard split,
+/// or `lanes` setting; derived dies differ from exact ones by the
+/// linearization error the provider's tolerance admits.
 ///
 /// # Errors
 /// The first per-sample [`McError`] in index order.
@@ -637,59 +629,22 @@ pub fn run_circuit_mc_range(
     config: &CircuitMcConfig,
     start: usize,
     len: usize,
-) -> Result<Vec<McSample>, McError> {
+) -> Result<(Vec<McSample>, FastMcDiag, KernelCounts), McError> {
     assert!(config.vectors > 0, "circuit MC needs at least one pattern per sample");
     let nominal = config.op.tech(tech);
-    let per_sample: Vec<Result<McSample, McError>> =
-        par_map_with(len, config.threads, SampleScratch::default, |scratch, k| {
-            run_circuit_sample(circuit, &nominal, provider, config, start + k, scratch)
-        });
-    let mut samples = Vec::with_capacity(len);
-    for r in per_sample {
-        samples.push(r?);
-    }
-    Ok(samples)
-}
-
-/// The fast (delta-derived) counterpart of [`run_circuit_mc_range`]:
-/// per-die libraries come from a [`DeltaProvider`] (nominal
-/// sensitivities plus a full-solve fallback) instead of a per-die
-/// characterization, and the loaded (Lut) arm runs the 64-lane block
-/// kernel with response tables — the per-die library cost no longer
-/// dwarfs the table build.
-///
-/// Determinism matches the exact path's contract: samples and
-/// diagnostics are bit-identical for any thread count, shard split, or
-/// `lanes` setting. The *values* differ from the exact path by the
-/// linearization error the provider's tolerance admits.
-///
-/// # Errors
-/// The first per-sample [`McError`] in index order.
-///
-/// # Panics
-/// Panics if `config.vectors` is zero.
-pub fn run_circuit_mc_range_fast(
-    circuit: &Circuit,
-    tech: &Technology,
-    provider: &dyn DeltaProvider,
-    config: &CircuitMcConfig,
-    start: usize,
-    len: usize,
-) -> Result<(Vec<McSample>, FastMcDiag), McError> {
-    assert!(config.vectors > 0, "circuit MC needs at least one pattern per sample");
-    let nominal = config.op.tech(tech);
-    let per_sample: Vec<Result<(McSample, DieDiag), McError>> =
-        par_map_with(len, config.threads, SampleScratch::default, |scratch, k| {
-            run_circuit_sample_fast(circuit, &nominal, provider, config, start + k, scratch)
-        });
+    let per_sample = par_map_with(len, config.threads, SampleScratch::default, |scratch, k| {
+        run_circuit_sample(circuit, &nominal, provider, config, start + k, scratch)
+    });
     let mut samples = Vec::with_capacity(len);
     let mut diag = FastMcDiag::default();
+    let mut counts = KernelCounts::default();
     for r in per_sample {
-        let (sample, die) = r?;
+        let (sample, die, kernel) = r?;
         diag.absorb(&die);
+        counts.add(&kernel);
         samples.push(sample);
     }
-    Ok((samples, diag))
+    Ok((samples, diag, counts))
 }
 
 /// Runs the full circuit-level Monte Carlo (all `config.samples`
@@ -707,7 +662,7 @@ pub fn run_circuit_mc(
     config: &CircuitMcConfig,
 ) -> Result<CircuitMcResult, McError> {
     assert!(config.samples > 0, "circuit MC needs at least one sample");
-    let samples = run_circuit_mc_range(circuit, tech, provider, config, 0, config.samples)?;
+    let (samples, ..) = run_circuit_mc_range(circuit, tech, provider, config, 0, config.samples)?;
     Ok(CircuitMcResult { config: config.clone(), samples })
 }
 
@@ -799,9 +754,9 @@ mod tests {
         // Shard as 2 + 3 + 1 and concatenate in index order.
         let mut sharded = Vec::new();
         for (start, len) in [(0usize, 2usize), (2, 3), (5, 1)] {
-            sharded.extend(
-                run_circuit_mc_range(&circuit, &tech, &SolverProvider, &cfg, start, len).unwrap(),
-            );
+            let (samples, ..) =
+                run_circuit_mc_range(&circuit, &tech, &SolverProvider, &cfg, start, len).unwrap();
+            sharded.extend(samples);
         }
         assert_eq!(sharded, mono.samples);
         assert_eq!(summarize(&sharded, 16), mono.summary(16));

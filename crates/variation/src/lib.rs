@@ -46,10 +46,10 @@ pub mod sigmas;
 pub mod stats;
 
 pub use circuit::{
-    char_opts_for, run_circuit_mc, run_circuit_mc_range, run_circuit_mc_range_fast, summarize,
-    CircuitMcConfig, CircuitMcResult, DeltaProvider, DieDiag, FastMcDiag, FastMcReport,
-    LibraryProvider, McError, McSummary, SensDeltaProvider, SeriesSummary, SolverProvider,
-    DEFAULT_HIST_BINS, TABLE_AMORTIZE_VECTORS,
+    char_opts_for, run_circuit_mc, run_circuit_mc_range, summarize, CircuitMcConfig,
+    CircuitMcResult, DieDiag, FastMcDiag, FastMcReport, KernelCounts, LibraryProvider, McError,
+    McSummary, SensDeltaProvider, SeriesSummary, SolverProvider, DEFAULT_HIST_BINS,
+    TABLE_AMORTIZE_VECTORS,
 };
 pub use mc::{run_inverter_mc, series_of, stats_of, McConfig, McResult, McSample, Series};
 pub use sigmas::{gaussian, VariationSigmas};
@@ -153,13 +153,13 @@ mod proptests {
                 prop_assert_eq!(&multi.samples, &reference.samples);
                 // Shard invariance: split at `split`, concatenate.
                 let cfg = config(seed);
-                let mut sharded =
+                let (mut sharded, ..) =
                     run_circuit_mc_range(&circuit, &tech, &SolverProvider, &cfg, 0, split)
                         .unwrap();
-                sharded.extend(
+                let (rest, ..) =
                     run_circuit_mc_range(&circuit, &tech, &SolverProvider, &cfg, split, 3 - split)
-                        .unwrap(),
-                );
+                        .unwrap();
+                sharded.extend(rest);
                 prop_assert_eq!(&sharded, &reference.samples);
                 prop_assert_eq!(summarize(&sharded, 8), reference.summary(8));
                 // Same seed, same set (fresh run, fresh provider).
@@ -178,8 +178,7 @@ mod proptests {
     mod fast_determinism {
         use super::*;
         use crate::circuit::{
-            char_opts_for, run_circuit_mc_range, run_circuit_mc_range_fast, CircuitMcConfig,
-            SensDeltaProvider, SolverProvider,
+            char_opts_for, run_circuit_mc_range, CircuitMcConfig, SensDeltaProvider, SolverProvider,
         };
         use nanoleak_cells::{characterize_with_sensitivity, CellType, DEFAULT_DELTA_TOL};
         use nanoleak_core::LANES;
@@ -240,22 +239,22 @@ mod proptests {
                 let cfg = config(seed);
                 let p = provider();
                 let scalar = CircuitMcConfig { threads: 1, lanes: 1, ..cfg.clone() };
-                let (reference, ref_diag) =
-                    run_circuit_mc_range_fast(&circuit, &tech, p, &scalar, 0, 3).unwrap();
+                let (reference, ref_diag, _) =
+                    run_circuit_mc_range(&circuit, &tech, p, &scalar, 0, 3).unwrap();
                 // Thread-count and lane invariance (1 = per-pattern
                 // scalar path, LANES = 64-lane block kernel).
                 for lanes in [1usize, LANES] {
                     let cfg = CircuitMcConfig { threads, lanes, ..cfg.clone() };
-                    let (again, diag) =
-                        run_circuit_mc_range_fast(&circuit, &tech, p, &cfg, 0, 3).unwrap();
+                    let (again, diag, _) =
+                        run_circuit_mc_range(&circuit, &tech, p, &cfg, 0, 3).unwrap();
                     prop_assert_eq!(&again, &reference, "lanes = {}", lanes);
                     prop_assert_eq!(diag, ref_diag);
                 }
                 // Shard invariance: split, concatenate, merge diags.
-                let (mut sharded, mut diag) =
-                    run_circuit_mc_range_fast(&circuit, &tech, p, &cfg, 0, split).unwrap();
-                let (rest, rest_diag) =
-                    run_circuit_mc_range_fast(&circuit, &tech, p, &cfg, split, 3 - split).unwrap();
+                let (mut sharded, mut diag, _) =
+                    run_circuit_mc_range(&circuit, &tech, p, &cfg, 0, split).unwrap();
+                let (rest, rest_diag, _) =
+                    run_circuit_mc_range(&circuit, &tech, p, &cfg, split, 3 - split).unwrap();
                 sharded.extend(rest);
                 diag.merge(&rest_diag);
                 prop_assert_eq!(&sharded, &reference);
@@ -265,7 +264,7 @@ mod proptests {
                 prop_assert_eq!(ref_diag.dies_derived, 3, "{:?}", ref_diag);
                 // ...and the exact path — untouched by the fast-path
                 // refactor — stays within tolerance of it.
-                let exact =
+                let (exact, ..) =
                     run_circuit_mc_range(&circuit, &tech, &SolverProvider, &cfg, 0, 3).unwrap();
                 for (f, e) in reference.iter().zip(&exact) {
                     let (ft, et) = (f.loaded.total(), e.loaded.total());

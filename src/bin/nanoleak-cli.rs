@@ -56,8 +56,9 @@ use std::time::Instant;
 use nanoleak::prelude::*;
 use nanoleak_cells::OperatingPoint;
 use nanoleak_engine::{
-    mc_streaming_mode, mlv_search, shard_count, sweep_streaming, CacheOutcome, LibraryCache,
-    McMode, MemoLibraryCache, MlvConfig, MlvGoal, MlvStrategy, ScalarStats, SweepConfig,
+    mc_streaming_mode, mlv_search, shard_count, sweep_streaming, CacheOutcome, EngineError,
+    LibraryCache, McMode, MemoLibraryCache, MlvConfig, MlvGoal, MlvStrategy, ScalarStats,
+    SweepConfig,
 };
 use nanoleak_netlist::generate::{alu, iscas_like, multiplier};
 use nanoleak_netlist::{parse_yosys_json, RawCircuit};
@@ -400,22 +401,29 @@ fn take_char_opts(args: &mut Args) -> CharacterizeOptions {
 /// Obtains the characterized library at an operating point, through
 /// the persistent cache unless disabled. With `quiet`, progress goes
 /// to stderr so stdout stays machine-parseable (`--format json`).
+/// A disk-cache I/O failure falls back to an uncached
+/// characterization; a solver failure is returned, not retried.
 fn load_library(
     tech: &Technology,
     op: &OperatingPoint,
     opts: &CharacterizeOptions,
     cache: &CacheOpts,
     quiet: bool,
-) -> Arc<CellLibrary> {
+) -> Result<Arc<CellLibrary>, String> {
     macro_rules! info {
         ($($arg:tt)*) => {
             if quiet { eprintln!($($arg)*) } else { println!($($arg)*) }
         };
     }
     let temp = op.temp;
+    let characterize = || {
+        op.characterize(tech, opts)
+            .map(Arc::new)
+            .map_err(|e| format!("characterization failed: {e}"))
+    };
     if !cache.enabled {
         info!("characterizing cell library for {} at {temp} K (cache disabled) ...", tech.name);
-        return op.shared_library(tech, opts);
+        return characterize();
     }
     let store = match &cache.dir {
         Some(dir) => LibraryCache::new(dir),
@@ -447,12 +455,13 @@ fn load_library(
                 // from the MemoLibraryCache used by `serve`.
                 CacheOutcome::MemoryHit => unreachable!("disk cache cannot hit RAM"),
             }
-            lib
+            Ok(lib)
         }
-        Err(e) => {
+        Err(e @ EngineError::Cache(_)) => {
             eprintln!("warning: {e}; continuing without the disk cache");
-            op.shared_library(tech, opts)
+            characterize()
         }
+        Err(e) => Err(e.to_string()),
     }
 }
 
@@ -487,7 +496,7 @@ fn cmd_estimate(target: &str, mut args: Args) -> Result<(), String> {
         println!("{}", CircuitStats::compute(&circuit));
     }
     let tech = Technology::d25();
-    let lib = load_library(&tech, &op, &char_opts, &cache, format == OutputFormat::Json);
+    let lib = load_library(&tech, &op, &char_opts, &cache, format == OutputFormat::Json)?;
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let patterns = Pattern::random_batch(&circuit, &mut rng, vectors);
@@ -597,7 +606,7 @@ fn cmd_sweep(target: &str, mut args: Args) -> Result<(), String> {
         println!("{}", CircuitStats::compute(&circuit));
     }
     let tech = Technology::d25();
-    let lib = load_library(&tech, &op, &char_opts, &cache, format == OutputFormat::Json);
+    let lib = load_library(&tech, &op, &char_opts, &cache, format == OutputFormat::Json)?;
 
     // Progress streams to stderr so `--format json` stdout stays
     // machine-parseable; merged stats are bit-identical to a
@@ -738,7 +747,7 @@ fn cmd_mlv(target: &str, mut args: Args) -> Result<(), String> {
         println!("{}", CircuitStats::compute(&circuit));
     }
     let tech = Technology::d25();
-    let lib = load_library(&tech, &op, &char_opts, &cache, format == OutputFormat::Json);
+    let lib = load_library(&tech, &op, &char_opts, &cache, format == OutputFormat::Json)?;
 
     let result =
         mlv_search(&circuit, &lib, &config).map_err(|e| format!("MLV search failed: {e}"))?;
@@ -828,7 +837,7 @@ fn cmd_optimize(target: &str, mut args: Args) -> Result<(), String> {
         println!("{}", CircuitStats::compute(&circuit));
     }
     let tech = Technology::d25();
-    let lib = load_library(&tech, &op, &char_opts, &cache, format == OutputFormat::Json);
+    let lib = load_library(&tech, &op, &char_opts, &cache, format == OutputFormat::Json)?;
 
     // Round progress goes to stderr so `--format json` stdout stays
     // machine-parseable.

@@ -121,3 +121,27 @@ fn mc_rejects_unknown_flags_and_bad_values() {
     assert!(stderr.contains("--samples"), "{stderr}");
     let _ = std::fs::remove_file(&bench);
 }
+
+/// A characterization that cannot converge (5000 K is far outside the
+/// device model) is a clean exit-1 error on both library paths, never
+/// a panic, and a solver failure is not mistaken for a disk-cache
+/// failure.
+#[test]
+fn non_converging_characterization_fails_cleanly() {
+    let bench = tiny_bench("no-converge");
+    let target = bench.to_str().unwrap();
+    let cache_dir = std::env::temp_dir()
+        .join(format!("nanoleak-cli-test-no-converge-cache-{}", std::process::id()));
+    let cache_dir = cache_dir.to_str().unwrap();
+    let base = ["estimate", target, "--coarse", "--temp", "5000", "--format", "json"];
+    for cache in [&["--no-cache"][..], &["--cache-dir", cache_dir][..]] {
+        let out = cli().args(base).args(cache).output().expect("spawn nanoleak-cli");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cache:?}: {stderr}");
+        assert!(stderr.contains("characterization failed"), "{cache:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{cache:?}: {stderr}");
+        assert!(!stderr.contains("continuing without the disk cache"), "{cache:?}: {stderr}");
+    }
+    let _ = std::fs::remove_dir_all(cache_dir);
+    let _ = std::fs::remove_file(&bench);
+}
