@@ -213,6 +213,21 @@ impl LibraryCache {
         temp: f64,
         opts: &CharacterizeOptions,
     ) -> Result<(Arc<CellLibrary>, CacheOutcome), EngineError> {
+        let (lib, outcome) = self.load_or_solve(tech, temp, opts)?;
+        if outcome != CacheOutcome::Hit {
+            self.store(&lib)?;
+        }
+        Ok((lib, outcome))
+    }
+
+    /// The cached library for a request, or a fresh characterization
+    /// that the caller still has to [`LibraryCache::store`].
+    fn load_or_solve(
+        &self,
+        tech: &Technology,
+        temp: f64,
+        opts: &CharacterizeOptions,
+    ) -> Result<(Arc<CellLibrary>, CacheOutcome), EngineError> {
         let path = self.path_for(tech, temp, opts);
         let existed = path.exists();
         if existed {
@@ -221,7 +236,6 @@ impl LibraryCache {
             }
         }
         let lib = CellLibrary::characterize(tech, temp, opts)?;
-        self.store(&lib)?;
         let outcome = if existed { CacheOutcome::Invalidated } else { CacheOutcome::Miss };
         Ok((Arc::new(lib), outcome))
     }
@@ -408,6 +422,16 @@ impl MemoLibraryCache {
         Self::default()
     }
 
+    /// The store the server and the CLI analyse through: a memo over
+    /// the disk cache at `dir` (the default location when `None`), or
+    /// RAM only when `disk_cache` is off.
+    pub fn configured<P: Into<PathBuf>>(disk_cache: bool, dir: Option<P>) -> Self {
+        if !disk_cache {
+            return Self::memory_only();
+        }
+        Self::over(dir.map_or_else(LibraryCache::default_location, LibraryCache::new))
+    }
+
     /// Overrides the residency bound (`0` is clamped to 1).
     #[must_use]
     pub fn with_max_resident(mut self, max_resident: usize) -> Self {
@@ -424,10 +448,13 @@ impl MemoLibraryCache {
     /// this process has seen the request before, else through the
     /// disk cache, else by characterizing.
     ///
+    /// A fresh entry that cannot be written to disk is logged as a
+    /// warning and the library is served anyway: a broken cache
+    /// directory costs re-characterization on the next process, never
+    /// the request.
+    ///
     /// # Errors
-    /// * [`EngineError::Solver`] if characterization fails;
-    /// * [`EngineError::Cache`] if a fresh disk entry cannot be
-    ///   written (RAM-only requests never return this).
+    /// [`EngineError::Solver`] if characterization fails.
     pub fn get_or_characterize(
         &self,
         tech: &Technology,
@@ -452,7 +479,13 @@ impl MemoLibraryCache {
             }));
         }
         let (lib, outcome) = match &self.disk {
-            Some(disk) => disk.load_or_characterize(tech, temp, opts)?,
+            Some(disk) => {
+                let (lib, outcome) = disk.load_or_solve(tech, temp, opts)?;
+                if outcome != CacheOutcome::Hit {
+                    warn_unstored(disk.store(&lib));
+                }
+                (lib, outcome)
+            }
             None => {
                 let lib = CellLibrary::characterize(tech, temp, opts)?;
                 (Arc::new(lib), CacheOutcome::Miss)
@@ -513,7 +546,8 @@ impl MemoLibraryCache {
     /// sensitivities — and replaces the entry. The traced solve counts
     /// as one characterization in [`MemoLibraryCache::stats`] and is
     /// stored to the disk layer (as a plain library) when one is
-    /// attached.
+    /// attached; a failed write warns and serves, as in
+    /// [`MemoLibraryCache::get_or_characterize`].
     ///
     /// Chaos: the `char-sensitivity` failpoint injects a solver
     /// failure on the trace path (RAM recalls stay unaffected), so
@@ -521,9 +555,7 @@ impl MemoLibraryCache {
     /// exact path.
     ///
     /// # Errors
-    /// * [`EngineError::Solver`] if the traced characterization fails;
-    /// * [`EngineError::Cache`] if a fresh disk entry cannot be
-    ///   written.
+    /// [`EngineError::Solver`] if the traced characterization fails.
     pub fn get_or_characterize_with_sens(
         &self,
         tech: &Technology,
@@ -553,7 +585,7 @@ impl MemoLibraryCache {
         cache_metrics().characterizations.inc();
         cache_metrics().characterize_seconds.record_duration(started.elapsed());
         if let Some(disk) = &self.disk {
-            disk.store(&lib)?;
+            warn_unstored(disk.store(&lib));
         }
         let mut entries = self.entries.lock();
         let mut sens_entries = self.sens.lock();
@@ -585,6 +617,14 @@ impl MemoLibraryCache {
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
             characterizations: self.characterizations.load(Ordering::Relaxed),
         }
+    }
+}
+
+/// Logs a failed disk-cache write; the caller serves the library it
+/// just characterized regardless.
+fn warn_unstored(stored: Result<PathBuf, EngineError>) {
+    if let Err(e) = stored {
+        nanoleak_obs::warn!("cache", "{}; serving the library without storing it", e);
     }
 }
 

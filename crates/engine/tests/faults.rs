@@ -57,6 +57,31 @@ fn cache_io_fault_fails_the_store_without_litter() {
     let _ = std::fs::remove_dir_all(dir);
 }
 
+/// Above the disk layer, a failed write warns and serves: the memo
+/// hands out the library it characterized, and the entry is simply
+/// absent from disk for the next process.
+#[test]
+fn memo_serves_the_library_when_the_disk_write_fails() {
+    let _g = serial();
+    let tech = Technology::d25();
+    let dir = temp_dir("memo-io");
+    let memo = MemoLibraryCache::over(LibraryCache::new(dir.clone()));
+    arm_limited("cache-io", FaultAction::Error("disk unplugged".into()), Some(2));
+    let (lib, outcome) = memo.get_or_characterize(&tech, 300.0, &opts()).unwrap();
+    assert_eq!(outcome, CacheOutcome::Miss);
+    assert!(lib.cell(CellType::Inv).is_some());
+    let (_, _, outcome) = MemoLibraryCache::over(LibraryCache::new(dir.clone()))
+        .get_or_characterize_with_sens(&tech, 300.0, &opts())
+        .unwrap();
+    assert_eq!(outcome, CacheOutcome::Miss, "the traced path serves too");
+    let (_, outcome) = MemoLibraryCache::over(LibraryCache::new(dir.clone()))
+        .get_or_characterize(&tech, 300.0, &opts())
+        .unwrap();
+    assert_eq!(outcome, CacheOutcome::Miss, "neither failed write left an entry");
+    disarm_all();
+    let _ = std::fs::remove_dir_all(dir);
+}
+
 #[test]
 fn cache_corrupt_fault_forces_invalidation_recovery() {
     let _g = serial();

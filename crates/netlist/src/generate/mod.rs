@@ -25,6 +25,17 @@ pub fn paper_suite_raw() -> Vec<RawCircuit> {
     suite
 }
 
+/// The builtin circuit named `name`: an ISCAS89 stand-in (see
+/// [`iscas_like`]) or one of the paper's arithmetic benchmarks
+/// (`"alu88"`, `"mult88"`), in raw form. `None` for any other name.
+pub fn builtin(name: &str) -> Option<RawCircuit> {
+    match name {
+        "alu88" => Some(alu(8)),
+        "mult88" => Some(multiplier(8)),
+        other => iscas_like(other),
+    }
+}
+
 /// The paper suite, normalized to library cells.
 ///
 /// # Errors
@@ -46,5 +57,9 @@ mod tests {
             names,
             vec!["s838", "s1196", "s1423", "s5378", "s9234", "s13207", "alu88", "mult88"]
         );
+        for name in names {
+            assert_eq!(builtin(name).map(|c| c.name), Some(name.to_string()), "{name}");
+        }
+        assert!(builtin("s9999").is_none());
     }
 }

@@ -1,14 +1,28 @@
 //! Request/response schemas of the JSON API, plus the handlers that
 //! run the engine.
 //!
-//! Requests are parsed from the mini-serde [`Value`] tree by hand
-//! (every field optional falls back to the CLI's defaults), so a
-//! client can POST `{"target": "s1196"}` and nothing more. Responses
-//! are built from `#[derive(Serialize)]` DTOs and encoded with the
-//! JSON text codec — floats round-trip bit-exactly, which is what
-//! makes the service's sweep results comparable `==` against an
-//! in-process [`sweep`] call.
+//! This module is the one request model of the project: every
+//! workload default, work limit and validation rule lives in the
+//! `resolve_*` functions here, and both transports go through them.
+//! HTTP parses the request text into a [`Body`]; `nanoleak-cli`
+//! decodes its `--kebab-name value` flags into the same [`Body`]
+//! (`"kebab_name": value`) and calls the same `*_circuit` runners, so
+//! its `--format json` output *is* the API response.
+//!
+//! Requests are read from the mini-serde [`Value`] tree by hand
+//! (every field is optional and falls back to its default here), so a
+//! client can POST `{"target": "s1196"}` and nothing more. A field no
+//! resolver reads is a 400 naming it ([`Body::reject_unread`]), so a
+//! typo never silently runs the default. Responses are built from
+//! `#[derive(Serialize)]` DTOs and encoded with the JSON text codec —
+//! floats round-trip bit-exactly, which is what makes the service's
+//! sweep results comparable `==` against an in-process [`sweep`] call.
+//!
+//! Each `run_*` entry point resolves the request's circuit
+//! ([`resolve_circuit`]) and hands it to its `*_circuit` half, which
+//! reads the remaining fields, rejects unread ones, and runs.
 
+use std::cell::Cell;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -22,7 +36,7 @@ use nanoleak_engine::{
     SweepStats,
 };
 use nanoleak_netlist::bench_format::parse_bench;
-use nanoleak_netlist::generate::{alu, iscas_like, multiplier};
+use nanoleak_netlist::generate::builtin;
 use nanoleak_netlist::normalize::normalize;
 use nanoleak_netlist::{Circuit, NetId, Pattern};
 use nanoleak_opt::{optimize_with, OptimizeConfig, RoundProgress};
@@ -68,10 +82,16 @@ impl ApiError {
 // Request parsing.
 // ---------------------------------------------------------------------
 
+/// Fields of the `POST /v1/jobs` envelope. The router reads them;
+/// every executor accepts them as known.
+const ENVELOPE_FIELDS: [&str; 2] = ["type", "timeout_ms"];
+
 /// A JSON request body, wrapped for typed field access with defaults.
+/// It records which fields were read, so a run can reject the rest.
 #[derive(Debug)]
 pub struct Body {
     fields: Vec<(String, Value)>,
+    read: Vec<Cell<bool>>,
 }
 
 impl Body {
@@ -80,20 +100,51 @@ impl Body {
         let v = json::value_from_str(text)
             .map_err(|e| ApiError::bad(format!("malformed JSON body: {e}")))?;
         match v {
-            Value::Record(fields) => Ok(Self { fields }),
+            Value::Record(fields) => Ok(Self::from_fields(fields)),
             other => Err(ApiError::bad(format!("expected a JSON object, got {other:?}"))),
         }
     }
 
+    /// A body from already-decoded `(name, value)` fields.
+    pub fn from_fields(fields: Vec<(String, Value)>) -> Self {
+        let read = fields.iter().map(|_| Cell::new(false)).collect();
+        Self { fields, read }
+    }
+
     /// Typed access to an optional field (absent and `null` are both
-    /// `None`).
+    /// `None`). Marks the field read; the first of duplicate names
+    /// wins.
     pub fn opt<T: Deserialize>(&self, name: &str) -> Result<Option<T>, ApiError> {
-        match self.fields.iter().find(|(n, _)| n == name) {
-            None => Ok(None),
-            Some((_, Value::Unit)) => Ok(None),
-            Some((_, v)) => T::from_value(v)
+        let mut found = None;
+        for ((n, v), read) in self.fields.iter().zip(&self.read) {
+            if n == name {
+                read.set(true);
+                found.get_or_insert(v);
+            }
+        }
+        match found {
+            None | Some(Value::Unit) => Ok(None),
+            Some(v) => T::from_value(v)
                 .map(Some)
                 .map_err(|e| ApiError::bad(format!("field '{name}': {e}"))),
+        }
+    }
+
+    /// A 400 naming every field no resolver has read (the job
+    /// envelope's `type` and `timeout_ms` excepted). Runs call it once
+    /// all fields are resolved and before any characterization.
+    pub fn reject_unread(&self) -> Result<(), ApiError> {
+        let unread: Vec<String> = self
+            .fields
+            .iter()
+            .zip(&self.read)
+            .filter(|((n, _), read)| !read.get() && !ENVELOPE_FIELDS.contains(&n.as_str()))
+            .map(|((n, _), _)| format!("'{n}'"))
+            .collect();
+        if unread.is_empty() {
+            Ok(())
+        } else {
+            Err(ApiError::bad(format!("unknown field(s): {}", unread.join(", "))))
         }
     }
 
@@ -120,16 +171,12 @@ pub fn resolve_circuit(body: &Body) -> Result<(String, Circuit), ApiError> {
             ("inline".to_string(), raw)
         }
         (Some(target), None) => {
-            let raw = match target.as_str() {
-                "alu88" => alu(8),
-                "mult88" => multiplier(8),
-                other => iscas_like(other).ok_or_else(|| {
-                    ApiError::unprocessable(format!(
-                        "unknown circuit '{other}' (builtin names only; \
-                         send file contents inline via 'bench')"
-                    ))
-                })?,
-            };
+            let raw = builtin(&target).ok_or_else(|| {
+                ApiError::unprocessable(format!(
+                    "unknown circuit '{target}' (builtin names only; \
+                     send file contents inline via 'bench')"
+                ))
+            })?;
             (target, raw)
         }
         (None, None) => return Err(ApiError::bad("missing 'target' (or inline 'bench')")),
@@ -198,6 +245,16 @@ fn check_limit(name: &str, value: usize, max: usize) -> Result<usize, ApiError> 
     Ok(value)
 }
 
+/// A count field (`vectors`, `samples`, `restarts`, `rounds`):
+/// `default` when absent, at least 1 and at most `max`.
+fn resolve_count(body: &Body, name: &str, default: usize, max: usize) -> Result<usize, ApiError> {
+    let value = check_limit(name, body.get(name, default)?, max)?;
+    if value == 0 {
+        return Err(ApiError::bad(format!("'{name}' must be at least 1")));
+    }
+    Ok(value)
+}
+
 /// The `"lanes"` field shared by sweep/MLV/MC requests: `0` (auto,
 /// the 64-wide block kernel), `64` (block explicitly), or `1` (the
 /// scalar reference path). A throughput knob only — results are
@@ -221,7 +278,7 @@ fn parse_mode(raw: &str) -> Result<EstimatorMode, ApiError> {
     }
 }
 
-/// The sweep parameters of a request, CLI defaults applied and
+/// The sweep parameters of a request, defaults applied and
 /// client-controlled work bounded (the direct-solve mode gets a much
 /// smaller vector budget than the LUT fast path).
 pub fn resolve_sweep_config(body: &Body) -> Result<SweepConfig, ApiError> {
@@ -230,10 +287,7 @@ pub fn resolve_sweep_config(body: &Body) -> Result<SweepConfig, ApiError> {
         EstimatorMode::DirectSolve => MAX_REQUEST_DIRECT_VECTORS,
         EstimatorMode::Lut | EstimatorMode::NoLoading => MAX_REQUEST_VECTORS,
     };
-    let vectors = check_limit("vectors", body.get("vectors", 100usize)?, max_vectors)?;
-    if vectors == 0 {
-        return Err(ApiError::bad("'vectors' must be at least 1"));
-    }
+    let vectors = resolve_count(body, "vectors", 100, max_vectors)?;
     Ok(SweepConfig {
         vectors,
         seed: body.get("seed", 2005u64)?,
@@ -248,7 +302,7 @@ pub fn resolve_sweep_config(body: &Body) -> Result<SweepConfig, ApiError> {
 /// monolithic), bounded so one job cannot pin [`MAX_JOB_SHARDS`]+
 /// partials in the registry — a single policy shared by every
 /// streaming job kind.
-fn resolve_shard_field(body: &Body, field: &str, units: usize) -> Result<usize, ApiError> {
+pub fn resolve_shard_field(body: &Body, field: &str, units: usize) -> Result<usize, ApiError> {
     let shard_size = body.get(field, 0usize)?;
     let shards = shard_count(units, shard_size);
     if shards > MAX_JOB_SHARDS {
@@ -260,12 +314,6 @@ fn resolve_shard_field(body: &Body, field: &str, units: usize) -> Result<usize, 
         )));
     }
     Ok(shard_size)
-}
-
-/// The `"shard_vectors"` field of a sweep job (see
-/// [`resolve_shard_field`] for the shared bound).
-pub fn resolve_shard_vectors(body: &Body, vectors: usize) -> Result<usize, ApiError> {
-    resolve_shard_field(body, "shard_vectors", vectors)
 }
 
 /// Observer of a streaming job's per-unit progress (sweep shards,
@@ -353,6 +401,12 @@ pub struct EstimateResponse {
     pub mean_power_w: f64,
     /// Average loading impact on total leakage (fraction).
     pub loading_impact_avg: f64,
+    /// Average loading impact on subthreshold leakage (fraction).
+    pub loading_impact_avg_sub: f64,
+    /// Average loading impact on gate-tunneling leakage (fraction).
+    pub loading_impact_avg_gate: f64,
+    /// Average loading impact on junction BTBT leakage (fraction).
+    pub loading_impact_avg_btbt: f64,
     /// Worst-vector loading impact (fraction).
     pub loading_impact_max: f64,
     /// Server-side wall clock \[ms\].
@@ -361,22 +415,32 @@ pub struct EstimateResponse {
 
 /// Runs the estimate endpoint.
 pub fn run_estimate(cache: &MemoLibraryCache, body: &Body) -> Result<EstimateResponse, ApiError> {
-    let start = Instant::now();
     let (target, circuit) = resolve_circuit(body)?;
+    estimate_circuit(cache, body, target, &circuit)
+}
+
+/// The estimate run on an already-resolved circuit, echoed as
+/// `target`.
+pub fn estimate_circuit(
+    cache: &MemoLibraryCache,
+    body: &Body,
+    target: String,
+    circuit: &Circuit,
+) -> Result<EstimateResponse, ApiError> {
+    let start = Instant::now();
     let tech = resolve_tech(body)?;
     let op = resolve_operating_point(body)?;
-    let vectors = check_limit("vectors", body.get("vectors", 100usize)?, MAX_REQUEST_VECTORS)?;
-    if vectors == 0 {
-        return Err(ApiError::bad("'vectors' must be at least 1"));
-    }
+    let vectors = resolve_count(body, "vectors", 100, MAX_REQUEST_VECTORS)?;
     let seed = body.get("seed", 2005u64)?;
-    let lib = library(cache, &tech, &op, &resolve_char_opts(body)?)?;
+    let opts = resolve_char_opts(body)?;
+    body.reject_unread()?;
+    let lib = library(cache, &tech, &op, &opts)?;
 
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let patterns = Pattern::random_batch(&circuit, &mut rng, vectors);
-    let loaded = estimate_batch(&circuit, &lib, &patterns, EstimatorMode::Lut)
+    let patterns = Pattern::random_batch(circuit, &mut rng, vectors);
+    let loaded = estimate_batch(circuit, &lib, &patterns, EstimatorMode::Lut)
         .map_err(|e| ApiError::unprocessable(format!("estimation failed: {e}")))?;
-    let unloaded = estimate_batch(&circuit, &lib, &patterns, EstimatorMode::NoLoading)
+    let unloaded = estimate_batch(circuit, &lib, &patterns, EstimatorMode::NoLoading)
         .map_err(|e| ApiError::unprocessable(format!("estimation failed: {e}")))?;
 
     let mean =
@@ -395,6 +459,9 @@ pub fn run_estimate(cache: &MemoLibraryCache, body: &Body) -> Result<EstimateRes
         mean_no_loading_a: mean(&unloaded),
         mean_power_w: mean(&loaded) * lib.tech.vdd,
         loading_impact_avg: impact.avg_total,
+        loading_impact_avg_sub: impact.avg.sub,
+        loading_impact_avg_gate: impact.avg.gate,
+        loading_impact_avg_btbt: impact.avg.btbt,
         loading_impact_max: impact.max_total,
         elapsed_ms: start.elapsed().as_secs_f64() * 1e3,
     })
@@ -432,12 +499,6 @@ pub struct SweepResponse {
     pub patterns_per_sec: f64,
 }
 
-/// Runs the sweep endpoint (the synchronous route; the job executor
-/// streams through [`run_sweep_streaming`] instead).
-pub fn run_sweep(cache: &MemoLibraryCache, body: &Body) -> Result<SweepResponse, ApiError> {
-    run_sweep_streaming(cache, body, &NoopObserver)
-}
-
 /// Runs a sweep in `"shard_vectors"`-sized shards, reporting each
 /// shard's [`SweepShard`] partial to `observer` as it completes. The
 /// merged stats in the response are bit-identical to a monolithic
@@ -448,14 +509,27 @@ pub fn run_sweep_streaming(
     observer: &dyn JobObserver,
 ) -> Result<SweepResponse, ApiError> {
     let (target, circuit) = resolve_circuit(body)?;
+    sweep_circuit(cache, body, target, &circuit, observer)
+}
+
+/// The streaming sweep on an already-resolved circuit.
+pub fn sweep_circuit(
+    cache: &MemoLibraryCache,
+    body: &Body,
+    target: String,
+    circuit: &Circuit,
+    observer: &dyn JobObserver,
+) -> Result<SweepResponse, ApiError> {
     let tech = resolve_tech(body)?;
     let op = resolve_operating_point(body)?;
     let config = resolve_sweep_config(body)?;
-    let shard_vectors = resolve_shard_vectors(body, config.vectors)?;
+    let shard_vectors = resolve_shard_field(body, "shard_vectors", config.vectors)?;
     let shards = shard_count(config.vectors, shard_vectors);
+    let opts = resolve_char_opts(body)?;
+    body.reject_unread()?;
     observer.declare(shards);
-    let lib = library(cache, &tech, &op, &resolve_char_opts(body)?)?;
-    let report = sweep_streaming(&circuit, &lib, &config, shard_vectors, |partial: &SweepShard| {
+    let lib = library(cache, &tech, &op, &opts)?;
+    let report = sweep_streaming(circuit, &lib, &config, shard_vectors, |partial: &SweepShard| {
         observer.unit(partial.shard, partial.to_value());
         !observer.cancelled()
     })
@@ -513,7 +587,7 @@ pub struct MlvResponse {
 }
 
 /// The MLV-search parameters of a request (shared by `/v1/mlv` and
-/// `/v1/optimize`): goal, strategy, seed, threads — CLI defaults
+/// `/v1/optimize`): goal, strategy, seed, threads — defaults
 /// applied and client-controlled work bounded. Returns the raw goal
 /// string alongside the config for response echoing.
 pub fn resolve_mlv_config(body: &Body) -> Result<(String, MlvConfig), ApiError> {
@@ -523,12 +597,9 @@ pub fn resolve_mlv_config(body: &Body) -> Result<(String, MlvConfig), ApiError> 
         "max" => MlvGoal::Max,
         other => return Err(ApiError::bad(format!("goal: expected min|max, got '{other}'"))),
     };
-    let samples = check_limit("samples", body.get("samples", 1024usize)?, MAX_REQUEST_VECTORS)?;
-    let restarts = check_limit("restarts", body.get("restarts", 8usize)?, MAX_REQUEST_RESTARTS)?;
+    let samples = resolve_count(body, "samples", 1024, MAX_REQUEST_VECTORS)?;
+    let restarts = resolve_count(body, "restarts", 8, MAX_REQUEST_RESTARTS)?;
     let max_steps = check_limit("max_steps", body.get("max_steps", 64usize)?, MAX_REQUEST_VECTORS)?;
-    if samples == 0 || restarts == 0 {
-        return Err(ApiError::bad("'samples' and 'restarts' must be at least 1"));
-    }
     let strategy = match body.get::<String>("strategy", "hillclimb".into())?.as_str() {
         "hillclimb" => MlvStrategy::HillClimb { restarts, max_steps },
         "exhaustive" => MlvStrategy::Exhaustive,
@@ -553,11 +624,23 @@ pub fn resolve_mlv_config(body: &Body) -> Result<(String, MlvConfig), ApiError> 
 /// Runs the MLV endpoint.
 pub fn run_mlv(cache: &MemoLibraryCache, body: &Body) -> Result<MlvResponse, ApiError> {
     let (target, circuit) = resolve_circuit(body)?;
+    mlv_circuit(cache, body, target, &circuit)
+}
+
+/// The MLV search on an already-resolved circuit.
+pub fn mlv_circuit(
+    cache: &MemoLibraryCache,
+    body: &Body,
+    target: String,
+    circuit: &Circuit,
+) -> Result<MlvResponse, ApiError> {
     let tech = resolve_tech(body)?;
     let op = resolve_operating_point(body)?;
     let (goal_raw, config) = resolve_mlv_config(body)?;
-    let lib = library(cache, &tech, &op, &resolve_char_opts(body)?)?;
-    let result = mlv_search(&circuit, &lib, &config)
+    let opts = resolve_char_opts(body)?;
+    body.reject_unread()?;
+    let lib = library(cache, &tech, &op, &opts)?;
+    let result = mlv_search(circuit, &lib, &config)
         .map_err(|e| ApiError::unprocessable(format!("MLV search failed: {e}")))?;
     Ok(MlvResponse {
         target,
@@ -681,12 +764,6 @@ pub struct OptimizeResponse {
     pub elapsed_ms: f64,
 }
 
-/// Runs the optimize endpoint (the synchronous route; the job
-/// executor streams per-round progress through [`run_optimize_with`]).
-pub fn run_optimize(cache: &MemoLibraryCache, body: &Body) -> Result<OptimizeResponse, ApiError> {
-    run_optimize_with(cache, body, &NoopObserver)
-}
-
 /// Runs a leakage optimization, reporting each round's
 /// [`RoundProgress`] to `observer` as it completes (the declared unit
 /// count is the configured round bound; early convergence leaves the
@@ -697,15 +774,23 @@ pub fn run_optimize_with(
     body: &Body,
     observer: &dyn JobObserver,
 ) -> Result<OptimizeResponse, ApiError> {
-    let start = Instant::now();
     let (target, circuit) = resolve_circuit(body)?;
+    optimize_circuit(cache, body, target, &circuit, observer)
+}
+
+/// The optimization on an already-resolved circuit.
+pub fn optimize_circuit(
+    cache: &MemoLibraryCache,
+    body: &Body,
+    target: String,
+    circuit: &Circuit,
+    observer: &dyn JobObserver,
+) -> Result<OptimizeResponse, ApiError> {
+    let start = Instant::now();
     let tech = resolve_tech(body)?;
     let op = resolve_operating_point(body)?;
     let (goal_raw, mlv) = resolve_mlv_config(body)?;
-    let max_rounds = check_limit("rounds", body.get("rounds", 4usize)?, MAX_REQUEST_OPT_ROUNDS)?;
-    if max_rounds == 0 {
-        return Err(ApiError::bad("'rounds' must be at least 1"));
-    }
+    let max_rounds = resolve_count(body, "rounds", 4, MAX_REQUEST_OPT_ROUNDS)?;
     let config = OptimizeConfig {
         mlv,
         max_rounds,
@@ -713,9 +798,11 @@ pub fn run_optimize_with(
         permute: body.get("permute", true)?,
         remap: body.get("remap", true)?,
     };
+    let opts = resolve_char_opts(body)?;
+    body.reject_unread()?;
     observer.declare(max_rounds);
-    let lib = library(cache, &tech, &op, &resolve_char_opts(body)?)?;
-    let result = optimize_with(&circuit, &lib, &config, |round| {
+    let lib = library(cache, &tech, &op, &opts)?;
+    let result = optimize_with(circuit, &lib, &config, |round| {
         observer.unit(round.round - 1, round_to_value(round));
         !observer.cancelled()
     })
@@ -829,16 +916,21 @@ pub fn run_grid(
     if temps.is_empty() || vdd_scales.is_empty() {
         return Err(ApiError::bad("'temps' and 'vdd_scales' must be non-empty"));
     }
-    let points = OperatingPoint::grid(&temps, &vdd_scales);
-    let n_cells = points.len();
+    // Bound the cell count before `grid` allocates it: both axes come
+    // from the request, and their product can exceed any RAM.
+    let n_cells = temps.len().saturating_mul(vdd_scales.len());
     if n_cells > MAX_GRID_CELLS {
         return Err(ApiError::bad(format!(
-            "grid of {n_cells} cells exceeds the {MAX_GRID_CELLS}-cell limit"
+            "grid of {} x {} cells exceeds the {MAX_GRID_CELLS}-cell limit",
+            temps.len(),
+            vdd_scales.len()
         )));
     }
+    let points = OperatingPoint::grid(&temps, &vdd_scales);
     for op in &points {
         op.validate().map_err(ApiError::bad)?;
     }
+    body.reject_unread()?;
     observer.declare(n_cells);
 
     // Split the requested parallelism between the cell fan and each
@@ -870,20 +962,13 @@ pub fn run_grid(
     });
 
     // Sequential cell-order reduction: the first error (in cell
-    // order) wins deterministically, and rows assemble exactly as the
-    // old sequential loop did.
-    let mut cells = Vec::with_capacity(n_cells);
-    let mut matrix: Vec<Vec<f64>> = Vec::with_capacity(temps.len());
-    for (i, outcome) in per_cell.into_iter().enumerate() {
-        let cell = outcome?;
-        if i % vdd_scales.len() == 0 || matrix.is_empty() {
-            matrix.push(Vec::with_capacity(vdd_scales.len()));
-        }
-        if let Some(row) = matrix.last_mut() {
-            row.push(cell.mean_total_a);
-        }
-        cells.push(cell);
-    }
+    // order) wins deterministically, and rows are the row-major cells
+    // `vdd_scales.len()` at a time.
+    let cells: Vec<GridCell> = per_cell.into_iter().collect::<Result<_, _>>()?;
+    let matrix = cells
+        .chunks(vdd_scales.len())
+        .map(|row| row.iter().map(|cell| cell.mean_total_a).collect())
+        .collect();
     Ok(GridResult { target, temps, vdd_scales, config, cells, mean_total_a: matrix })
 }
 
@@ -938,13 +1023,7 @@ pub struct McResponse {
     pub samples_per_sec: f64,
 }
 
-/// The `"shard_samples"` field of an MC job (see
-/// [`resolve_shard_field`] for the shared bound).
-pub fn resolve_shard_samples(body: &Body, samples: usize) -> Result<usize, ApiError> {
-    resolve_shard_field(body, "shard_samples", samples)
-}
-
-/// The Monte-Carlo configuration of a request: CLI defaults applied,
+/// The Monte-Carlo configuration of a request: defaults applied,
 /// work bounded, sigma overrides honored (`"sigma_vt"` is the paper's
 /// Fig. 11 sweep variable — the inter-die threshold sigma in volts;
 /// `"sigma_vt_intra"` is the intra-die threshold sigma in volts, but
@@ -952,11 +1031,8 @@ pub fn resolve_shard_samples(body: &Body, samples: usize) -> Result<usize, ApiEr
 /// transistor, so it acts as extra inter-die variance, not
 /// per-device mismatch).
 pub fn resolve_mc_config(body: &Body, circuit: &Circuit) -> Result<CircuitMcConfig, ApiError> {
-    let samples = check_limit("samples", body.get("samples", 200usize)?, MAX_REQUEST_MC_SAMPLES)?;
-    let vectors = check_limit("vectors", body.get("vectors", 1usize)?, MAX_REQUEST_VECTORS)?;
-    if samples == 0 || vectors == 0 {
-        return Err(ApiError::bad("'samples' and 'vectors' must be at least 1"));
-    }
+    let samples = resolve_count(body, "samples", 200, MAX_REQUEST_MC_SAMPLES)?;
+    let vectors = resolve_count(body, "vectors", 1, MAX_REQUEST_VECTORS)?;
     let mut sigmas = VariationSigmas::paper_nominal();
     if let Some(vt) = body.opt::<f64>("sigma_vt")? {
         sigmas = sigmas.with_vt_inter(vt);
@@ -1000,14 +1076,27 @@ pub fn run_mc(
     observer: &dyn JobObserver,
 ) -> Result<McResponse, ApiError> {
     let (target, circuit) = resolve_circuit(body)?;
+    mc_circuit(cache, body, target, &circuit, observer)
+}
+
+/// The Monte-Carlo run on an already-resolved circuit (`cache` as in
+/// [`run_mc`]).
+pub fn mc_circuit(
+    cache: &MemoLibraryCache,
+    body: &Body,
+    target: String,
+    circuit: &Circuit,
+    observer: &dyn JobObserver,
+) -> Result<McResponse, ApiError> {
     let tech = resolve_tech(body)?;
-    let config = resolve_mc_config(body, &circuit)?;
-    let shard_samples = resolve_shard_samples(body, config.samples)?;
+    let config = resolve_mc_config(body, circuit)?;
+    let shard_samples = resolve_shard_field(body, "shard_samples", config.samples)?;
     let shards = shard_count(config.samples, shard_samples);
     let exact = body.get("exact", false)?;
+    body.reject_unread()?;
     observer.declare(shards);
     let report = mc_streaming_mode(
-        &circuit,
+        circuit,
         &tech,
         cache,
         &config,
@@ -1133,14 +1222,52 @@ mod tests {
     }
 
     #[test]
+    fn grid_cell_bound_precedes_the_grid_allocation() {
+        // 2^18 entries per axis, as a 1 MiB job body allows: ~6.9e10
+        // cells, which no host could allocate.
+        let axis = || Value::Seq(vec![Value::F64(300.0); 1 << 18]);
+        let b = Body::from_fields(vec![
+            ("target".into(), Value::Str("s838".into())),
+            ("temps".into(), axis()),
+            ("vdd_scales".into(), axis()),
+        ]);
+        let err = run_grid(&MemoLibraryCache::memory_only(), &b, &NoopObserver).unwrap_err();
+        assert_eq!(err.status, 400);
+        assert!(err.message.contains("cell limit"), "{}", err.message);
+    }
+
+    #[test]
+    fn unread_fields_are_rejected_by_name() {
+        let b = Body::parse(
+            r#"{"vectorz": 5, "seed": 1, "lanez": null, "type": "sweep", "timeout_ms": 9}"#,
+        )
+        .unwrap();
+        assert_eq!(b.get("seed", 2005u64).unwrap(), 1);
+        let err = b.reject_unread().unwrap_err();
+        assert_eq!(err.status, 400);
+        assert_eq!(err.message, "unknown field(s): 'vectorz', 'lanez'");
+        // Runs reject before any characterization: an empty memo stays
+        // empty.
+        let cache = MemoLibraryCache::memory_only();
+        let b = Body::parse(r#"{"target": "s838", "coarse": true, "mode": "lut"}"#).unwrap();
+        let err = run_mlv(&cache, &b).unwrap_err();
+        assert_eq!((err.status, err.message.as_str()), (400, "unknown field(s): 'mode'"));
+        assert_eq!(cache.stats().requests(), 0);
+    }
+
+    #[test]
     fn shard_vectors_is_bounded_and_defaults_to_monolithic() {
         let b = Body::parse(r#"{"vectors": 100}"#).unwrap();
-        assert_eq!(resolve_shard_vectors(&b, 100).unwrap(), 0, "default is one shard");
+        assert_eq!(
+            resolve_shard_field(&b, "shard_vectors", 100).unwrap(),
+            0,
+            "default is one shard"
+        );
         let b = Body::parse(r#"{"shard_vectors": 10}"#).unwrap();
-        assert_eq!(resolve_shard_vectors(&b, 100).unwrap(), 10);
+        assert_eq!(resolve_shard_field(&b, "shard_vectors", 100).unwrap(), 10);
         // 100_000 vectors in shards of 1 would be 100k partials.
         let b = Body::parse(r#"{"shard_vectors": 1}"#).unwrap();
-        let err = resolve_shard_vectors(&b, 100_000).unwrap_err();
+        let err = resolve_shard_field(&b, "shard_vectors", 100_000).unwrap_err();
         assert_eq!(err.status, 400);
         assert!(err.message.contains("shards"), "{}", err.message);
     }
@@ -1189,9 +1316,9 @@ mod tests {
         assert_eq!(resolve_mc_config(&b, &circuit).unwrap_err().status, 400);
         // Shard bound mirrors the sweep path.
         let b = Body::parse(r#"{"shard_samples": 1}"#).unwrap();
-        assert_eq!(resolve_shard_samples(&b, 2048).unwrap_err().status, 400);
+        assert_eq!(resolve_shard_field(&b, "shard_samples", 2048).unwrap_err().status, 400);
         let b = Body::parse(r#"{"shard_samples": 4}"#).unwrap();
-        assert_eq!(resolve_shard_samples(&b, 12).unwrap(), 4);
+        assert_eq!(resolve_shard_field(&b, "shard_samples", 12).unwrap(), 4);
     }
 
     #[test]

@@ -213,7 +213,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use nanoleak_engine::{LibraryCache, MemoLibraryCache};
+use nanoleak_engine::MemoLibraryCache;
 use nanoleak_obs::{Counter, Gauge, Histogram, Registry};
 use parking_lot::Mutex;
 use serde::Serialize;
@@ -614,15 +614,7 @@ impl Server {
     /// Propagates the bind failure.
     pub fn bind(config: &ServeConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(&config.addr)?;
-        let cache = if config.disk_cache {
-            let disk = match &config.cache_dir {
-                Some(dir) => LibraryCache::new(dir.clone()),
-                None => LibraryCache::default_location(),
-            };
-            MemoLibraryCache::over(disk)
-        } else {
-            MemoLibraryCache::memory_only()
-        };
+        let cache = MemoLibraryCache::configured(config.disk_cache, config.cache_dir.clone());
         let workers = nanoleak_engine::exec::resolve_threads(config.threads);
         let (queue, receiver) = pool::job_queue(config.queue_capacity.max(1));
         let telemetry = Telemetry::new();

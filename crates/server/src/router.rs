@@ -18,6 +18,15 @@ use crate::ServerState;
 /// days; anything longer should simply omit the field.
 pub const MAX_JOB_TIMEOUT_MS: u64 = 3_600_000;
 
+/// The one deadline rule for jobs: a `timeout_ms` (or the server's
+/// default job timeout, named by `field`) is 1..=[`MAX_JOB_TIMEOUT_MS`].
+pub fn check_job_timeout(field: &str, ms: u64) -> Result<u64, ApiError> {
+    if ms == 0 || ms > MAX_JOB_TIMEOUT_MS {
+        return Err(ApiError::bad(format!("{field}: expected 1..={MAX_JOB_TIMEOUT_MS}, got {ms}")));
+    }
+    Ok(ms)
+}
+
 fn ok_json<T: Serialize>(value: &T) -> Response {
     Response::json(200, json::to_string(value))
 }
@@ -35,9 +44,13 @@ pub fn route(state: &ServerState, req: &Request) -> Response {
         ("GET", "/v1/stats") => ok_json(&state.stats()),
         ("GET", "/metrics") => metrics_route(state),
         ("POST", "/v1/estimate") => sync_endpoint(state, req, api::run_estimate),
-        ("POST", "/v1/sweep") => sync_endpoint(state, req, api::run_sweep),
+        ("POST", "/v1/sweep") => {
+            sync_endpoint(state, req, |c, b| api::run_sweep_streaming(c, b, &api::NoopObserver))
+        }
         ("POST", "/v1/mlv") => sync_endpoint(state, req, api::run_mlv),
-        ("POST", "/v1/optimize") => sync_endpoint(state, req, api::run_optimize),
+        ("POST", "/v1/optimize") => {
+            sync_endpoint(state, req, |c, b| api::run_optimize_with(c, b, &api::NoopObserver))
+        }
         ("POST", "/v1/jobs") => submit_job(state, req),
         (method, path) => {
             if let Some(rest) = path.strip_prefix("/v1/jobs/") {
@@ -278,14 +291,7 @@ fn submit_job(state: &ServerState, req: &Request) -> Response {
             ApiError::bad(format!("type: expected sweep|mlv|grid|mc|optimize, got '{raw}'"))
         })?;
         let timeout_ms: Option<u64> = body.opt("timeout_ms")?;
-        if let Some(ms) = timeout_ms {
-            if ms == 0 || ms > MAX_JOB_TIMEOUT_MS {
-                return Err(ApiError::bad(format!(
-                    "timeout_ms: expected 1..={MAX_JOB_TIMEOUT_MS}, got {ms}"
-                )));
-            }
-        }
-        Ok((kind, timeout_ms))
+        Ok((kind, timeout_ms.map(|ms| check_job_timeout("timeout_ms", ms)).transpose()?))
     });
     let (kind, timeout_ms) = match parsed {
         Ok(pair) => pair,

@@ -171,6 +171,30 @@ fn estimate_endpoint_reports_loading_impact() {
     assert_ne!(mean, baseline, "loading must move the estimate");
 }
 
+/// A field its endpoint never reads is a 400 naming it, not a
+/// silently applied default; the job envelope's own fields stay
+/// accepted.
+#[test]
+fn unread_fields_are_rejected_but_the_job_envelope_is_not() {
+    let server = TestServer::start(1, 8);
+    let typo = r#"{"target": "s838", "coarse": true, "vectorz": 5}"#;
+    let (status, body) = request(&server, "POST", "/v1/estimate", typo);
+    assert_eq!(status, 400, "{body}");
+    assert!(assert_error(&body, 400).contains("'vectorz'"), "{body}");
+    let mode = r#"{"target": "s838", "coarse": true, "mode": "lut"}"#;
+    let (status, body) = request(&server, "POST", "/v1/mlv", mode);
+    assert_eq!(status, 400, "{body}");
+    assert!(assert_error(&body, 400).contains("'mode'"), "{body}");
+
+    let job = r#"{"type": "sweep", "timeout_ms": 600000, "target": "s838", "vectors": 8,
+                 "coarse": true}"#;
+    let (status, body) = request(&server, "POST", "/v1/jobs", job);
+    assert_eq!(status, 202, "{body}");
+    let Value::Int(id) = field(&body, "id") else { panic!("id: {body}") };
+    let (state, body) = wait_for_job(&server, id, Duration::from_secs(120));
+    assert_eq!(state, "done", "{body}");
+}
+
 /// The acceptance criterion: a sweep served over HTTP equals the
 /// in-process `sweep()` call for the same seed, bit for bit.
 #[test]

@@ -35,13 +35,16 @@
 //! (`s838`, `s1196`, ..., `alu88`, `mult88`); `--circuit-format
 //! auto|bench|yosys` overrides the extension-based detection.
 //! Invoking with a target as the first argument (no subcommand)
-//! behaves like `estimate`, preserving the original CLI. Unknown
-//! `--flags` are rejected with an error instead of being silently
-//! ignored.
+//! behaves like `estimate`, preserving the original CLI. Every
+//! analysis subcommand also takes `--tech d25|d50`, and `mc` takes
+//! `--pattern-seed S` and `--exact`.
 //!
-//! Every subcommand analyzes at a first-class operating point
-//! (`--temp` × `--vdd-scale`, see `nanoleak_cells::OperatingPoint`),
-//! the same condition derivation the server's grid and MC jobs use.
+//! The analysis subcommands are a flag decoder and a text renderer
+//! over the HTTP API's runners ([`nanoleak_serve::api`]): every
+//! option `--kebab-name V` becomes the request field
+//! `"kebab_name": V`, so defaults, limits and validation are the
+//! API's, an unknown flag is the API's unknown-field error, and
+//! `--format json` prints the API response itself.
 //!
 //! The characterized cell library is cached on disk between runs
 //! (`.nanoleak-cache/` or `$NANOLEAK_CACHE_DIR`); pass `--no-cache`
@@ -50,26 +53,20 @@
 //! RAM only — a disk cache would fill with one-shot entries.
 
 use std::process::ExitCode;
-use std::sync::Arc;
-use std::time::Instant;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use nanoleak::prelude::*;
-use nanoleak_cells::OperatingPoint;
-use nanoleak_engine::{
-    mc_streaming_mode, mlv_search, shard_count, sweep_streaming, CacheOutcome, EngineError,
-    LibraryCache, McMode, MemoLibraryCache, MlvConfig, MlvGoal, MlvStrategy, ScalarStats,
-    SweepConfig,
-};
-use nanoleak_netlist::generate::{alu, iscas_like, multiplier};
-use nanoleak_netlist::{parse_yosys_json, RawCircuit};
-use nanoleak_opt::{optimize_with, OptimizeConfig};
+use nanoleak_core::reference_batch;
+use nanoleak_netlist::generate::builtin;
+use nanoleak_obs::Level;
 use nanoleak_serve::api::{
-    circuit_to_value, fmt_pattern, round_to_value, EstimateResponse, McResponse, MlvResponse,
+    self, fmt_pattern, ApiError, Body, EstimateResponse, JobObserver, McResponse, MlvResponse,
     OptimizeResponse, SweepResponse,
 };
+use nanoleak_serve::router::check_job_timeout;
 use nanoleak_serve::{ServeConfig, Server};
-use nanoleak_variation::{char_opts_for, CircuitMcConfig, Stats, VariationSigmas};
 use rand::SeedableRng;
+use serde::{json, Serialize, Value};
 
 const USAGE: &str = "\
 usage: nanoleak-cli <command> <circuit.bench | design.json | s838 | s1196 | s1423 | s5378 | s9234 | s13207 | alu88 | mult88> [options]
@@ -84,19 +81,25 @@ commands:
              variation (loaded vs unloaded)
   serve      long-lived HTTP/JSON analysis service (no circuit argument)
 
+Analysis options are the HTTP API's request fields: --kebab-name V sends
+\"kebab_name\": V (V as a JSON number/bool if it parses as one, else a
+string), a bare --name sends true and --no-name false. Defaults, work
+limits (e.g. at most 100000 vectors, 16 threads, 2048 MC samples) and
+errors are the API's.
+
 common options:
   --vectors N     random vectors (estimate/sweep; patterns per MC sample for
                   mc; default 100, mc default 1)
   --seed S        RNG seed (default 2005)
   --temp K        temperature in kelvin (default 300)
   --vdd-scale X   supply-scale factor on the nominal Vdd (default 1.0)
+  --tech T        technology: d25 (default) or d50
   --threads N     worker threads for sweep/mlv/mc/serve (default: all cores)
   --lanes N       patterns per evaluation word for sweep/mlv/mc: 64 packs
                   patterns 64-wide through the block kernel, 1 forces the
                   scalar reference path, 0 picks automatically (default 0;
                   results are bit-identical either way)
-  --format F      output format for estimate/sweep/mlv/mc: text (default)
-                  or json
+  --format F      output format: text (default) or json (the API response)
   --coarse        characterize on the coarse 4-point test grid (fast,
                   lower LUT resolution)
   --no-cache      re-characterize instead of using the on-disk cache
@@ -109,6 +112,7 @@ estimate options:
   --reference     also run the full transistor-level reference solve
 
 sweep options:
+  --mode M            lut (default) | noloading | direct
   --shard-vectors N   stream the sweep in shards of N vectors (progress per
                       shard on stderr; merged stats are bit-identical to a
                       monolithic run; default 0 = one shard)
@@ -121,9 +125,9 @@ mlv options:
   --max-steps N   hill-climb accepted-move limit (default 64)
 
 optimize options (plus all mlv options, which steer the scoring vector):
-  --rounds N          optimization-round bound (default 4; each round is a
-                      pin-permutation pass, a remap pass, and a vector
-                      re-search — the loop stops early on convergence)
+  --rounds N          optimization-round bound (default 4, at most 16; each
+                      round is a pin-permutation pass, a remap pass, and a
+                      vector re-search — the loop stops early on convergence)
   --no-canonicalize   skip the double-inverter / dead-gate pre-pass
   --no-permute        skip the commutative pin-permutation pass
   --no-remap          skip the NAND(!x,!y) <-> INV(NOR(x,y)) remap pass
@@ -131,6 +135,7 @@ optimize options (plus all mlv options, which steer the scoring vector):
 
 mc options:
   --samples N         Monte-Carlo samples / perturbed dies (default 200)
+  --pattern-seed S    input-pattern stream seed (default: --seed)
   --sigma-vt V        inter-die threshold-voltage sigma in volts, the
                       paper's Fig. 11 sweep variable (default 0.030)
   --sigma-vt-intra V  intra-die threshold sigma in volts (default 0.030).
@@ -155,96 +160,16 @@ serve options:
   --job-cap N     finished jobs retained before oldest-first eviction
                   (default 512)
   --default-job-timeout-ms N  deadline applied to jobs whose request
-                  carries no timeout_ms field (default: none); expired
-                  jobs fail with error deadline_exceeded at the next
-                  shard boundary, keeping completed shards
+                  carries no timeout_ms field (0 = none, the default;
+                  at most 3600000); expired jobs fail with error
+                  deadline_exceeded at the next shard boundary, keeping
+                  completed shards
   --faults SPEC   arm fault-injection failpoints for chaos drills,
                   e.g. cache-io=error:disk gone*2;slow-shard=sleep:500
                   ($NANOLEAK_FAULTS applies when the flag is absent)
   --log-level L   off|error|warn|info|debug|trace — JSON-lines log
                   verbosity on stderr (default info; NANOLEAK_LOG
                   applies when the flag is absent)";
-
-/// Strict argument list: every flag must be consumed by the active
-/// subcommand or parsing fails.
-struct Args {
-    items: Vec<String>,
-    used: Vec<bool>,
-}
-
-impl Args {
-    fn new(items: Vec<String>) -> Self {
-        let used = vec![false; items.len()];
-        Self { items, used }
-    }
-
-    /// Consumes a boolean `--flag`; `true` if present.
-    fn take_flag(&mut self, name: &str) -> bool {
-        let mut found = false;
-        for i in 0..self.items.len() {
-            if !self.used[i] && self.items[i] == name {
-                self.used[i] = true;
-                found = true;
-            }
-        }
-        found
-    }
-
-    /// Consumes `--name value`; errors if the value is missing.
-    fn take_value(&mut self, name: &str) -> Result<Option<String>, String> {
-        for i in 0..self.items.len() {
-            if !self.used[i] && self.items[i] == name {
-                self.used[i] = true;
-                let Some(value) = self.items.get(i + 1) else {
-                    return Err(format!("{name} expects a value"));
-                };
-                if self.used[i + 1] || value.starts_with("--") {
-                    return Err(format!("{name} expects a value, got '{value}'"));
-                }
-                self.used[i + 1] = true;
-                return Ok(Some(value.clone()));
-            }
-        }
-        Ok(None)
-    }
-
-    /// Consumes `--name value` parsed as `T`, with a default.
-    fn take_parsed<T: std::str::FromStr>(&mut self, name: &str, default: T) -> Result<T, String> {
-        match self.take_value(name)? {
-            None => Ok(default),
-            Some(raw) => raw.parse().map_err(|_| format!("{name}: cannot parse '{raw}'")),
-        }
-    }
-
-    /// Consumes the leading positional argument. Only the *first*
-    /// item qualifies: a later non-flag token is some flag's value,
-    /// and binding it as a positional would mis-parse
-    /// `sweep --vectors 10 s1196` (the target must come first).
-    fn take_positional(&mut self) -> Option<String> {
-        if !self.items.is_empty() && !self.used[0] && !self.items[0].starts_with("--") {
-            self.used[0] = true;
-            return Some(self.items[0].clone());
-        }
-        None
-    }
-
-    /// Fails if anything was left unconsumed (unknown flags or stray
-    /// positionals).
-    fn finish(self) -> Result<(), String> {
-        let leftover: Vec<&str> = self
-            .items
-            .iter()
-            .zip(&self.used)
-            .filter(|(_, &used)| !used)
-            .map(|(item, _)| item.as_str())
-            .collect();
-        if leftover.is_empty() {
-            Ok(())
-        } else {
-            Err(format!("unknown argument(s): {}", leftover.join(" ")))
-        }
-    }
-}
 
 fn fail(msg: &str) -> ExitCode {
     eprintln!("error: {msg}");
@@ -253,814 +178,397 @@ fn fail(msg: &str) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let mut raw: Vec<String> = std::env::args().skip(1).collect();
-    if raw.is_empty() {
+    let mut args: Vec<String> = std::env::args().skip(1).collect();
+    if args.is_empty() {
         eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     }
     // Subcommand dispatch with backwards compatibility: a first
     // argument that is not a known command is an `estimate` target.
-    let command = match raw[0].as_str() {
-        "estimate" | "sweep" | "mlv" | "optimize" | "mc" | "serve" => raw.remove(0),
+    let command = match args[0].as_str() {
+        "estimate" | "sweep" | "mlv" | "optimize" | "mc" | "serve" => args.remove(0),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;
         }
         _ => "estimate".to_string(),
     };
-
-    let mut args = Args::new(raw);
-    // `serve` is the one command without a circuit argument.
-    if command == "serve" {
-        return match cmd_serve(args) {
-            Ok(()) => ExitCode::SUCCESS,
-            Err(msg) => fail(&msg),
-        };
+    // Unless NANOLEAK_LOG (read lazily by nanoleak-obs) says otherwise,
+    // warnings such as a failed disk-cache write reach stderr, and a
+    // long-lived service also logs its startup and job lines.
+    if std::env::var_os("NANOLEAK_LOG").is_none() {
+        let serve = command == "serve";
+        nanoleak_obs::set_level(if serve { Level::Info } else { Level::Warn });
     }
-    let Some(target) = args.take_positional() else {
-        return fail("missing circuit target (the target must come before options)");
-    };
-
     let result = match command.as_str() {
-        "estimate" => cmd_estimate(&target, args),
-        "sweep" => cmd_sweep(&target, args),
-        "mlv" => cmd_mlv(&target, args),
-        "optimize" => cmd_optimize(&target, args),
-        "mc" => cmd_mc(&target, args),
-        _ => unreachable!("dispatch covers all commands"),
+        "serve" => cmd_serve(args),
+        _ => cmd_analysis(&command, args),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => fail(&msg),
+        Err(e) => fail(&e.message),
     }
 }
 
-/// On-disk netlist dialect of the circuit target: `--circuit-format`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CircuitFormat {
-    /// By extension: `.bench` → bench, `.json` → yosys, otherwise a
-    /// built-in generator name.
-    Auto,
-    Bench,
-    Yosys,
+/// Removes one of the CLI's own flags from `args`, with its value when
+/// `with_value` (a bare switch yields `Some("")`).
+fn take_own(
+    args: &mut Vec<String>,
+    name: &str,
+    with_value: bool,
+) -> Result<Option<String>, ApiError> {
+    let Some(i) = args.iter().position(|a| a == name) else { return Ok(None) };
+    args.remove(i);
+    if args.iter().any(|a| a == name) {
+        return Err(ApiError::bad(format!("{name} given twice")));
+    }
+    if !with_value {
+        return Ok(Some(String::new()));
+    }
+    match args.get(i) {
+        Some(v) if !v.starts_with("--") => Ok(Some(args.remove(i))),
+        _ => Err(ApiError::bad(format!("{name} expects a value"))),
+    }
 }
 
-impl CircuitFormat {
-    fn take(args: &mut Args) -> Result<Self, String> {
-        match args.take_value("--circuit-format")?.as_deref() {
-            None | Some("auto") => Ok(CircuitFormat::Auto),
-            Some("bench") => Ok(CircuitFormat::Bench),
-            Some("yosys") => Ok(CircuitFormat::Yosys),
-            Some(other) => {
-                Err(format!("--circuit-format: expected auto|bench|yosys, got '{other}'"))
-            }
+/// Decodes `--kebab-name V` flags into an API request body as
+/// `"kebab_name": V`. V is read as a JSON scalar when it parses as
+/// one, otherwise as a string; a bare `--name` is `true` and
+/// `--no-name` is `false`. A repeated flag or a stray positional is an
+/// error.
+fn decode_flags(args: &[String]) -> Result<Body, ApiError> {
+    let mut fields: Vec<(String, Value)> = Vec::new();
+    let mut items = args.iter().peekable();
+    while let Some(item) = items.next() {
+        let Some(flag) = item.strip_prefix("--") else {
+            return Err(ApiError::bad(format!("unexpected argument '{item}'")));
+        };
+        let (name, value) = match flag.strip_prefix("no-") {
+            Some(negated) => (negated, Value::Bool(false)),
+            None => match items.next_if(|v| !v.starts_with("--")) {
+                Some(raw) => (flag, scalar(raw)),
+                None => (flag, Value::Bool(true)),
+            },
+        };
+        let name = name.replace('-', "_");
+        if fields.iter().any(|(n, _)| *n == name) {
+            return Err(ApiError::bad(format!("--{flag} given twice")));
         }
+        fields.push((name, value));
+    }
+    Ok(Body::from_fields(fields))
+}
+
+fn scalar(raw: &str) -> Value {
+    match json::value_from_str(raw) {
+        Ok(v @ (Value::Unit | Value::Bool(_) | Value::Int(_) | Value::F64(_) | Value::Str(_))) => v,
+        _ => Value::Str(raw.to_string()),
     }
 }
 
 /// Resolves a `.bench` path, Yosys JSON dump, or built-in generator
-/// name to a circuit.
-fn load_circuit(target: &str, format: CircuitFormat) -> Result<Circuit, String> {
-    let read = || -> Result<String, String> {
-        std::fs::read_to_string(target).map_err(|e| format!("cannot read '{target}': {e}"))
+/// name to a circuit (`--circuit-format auto|bench|yosys`).
+fn load_circuit(target: &str, format: Option<&str>) -> Result<Circuit, ApiError> {
+    let read = || {
+        std::fs::read_to_string(target)
+            .map_err(|e| ApiError::bad(format!("cannot read '{target}': {e}")))
     };
-    let bench = |text: &str| -> Result<RawCircuit, String> {
-        let name = target.trim_end_matches(".bench").to_string();
-        parse_bench(&name, text).map_err(|e| format!("{target}: {e}"))
+    let parsed = |e: String| ApiError::bad(format!("{target}: {e}"));
+    let bench = |text: &str| {
+        parse_bench(target.trim_end_matches(".bench"), text).map_err(|e| parsed(e.to_string()))
     };
     // The empty name lets the importer keep the JSON module's name.
-    let yosys = |text: &str| parse_yosys_json("", text).map_err(|e| format!("{target}: {e}"));
-    let raw = match format {
-        CircuitFormat::Bench => bench(&read()?)?,
-        CircuitFormat::Yosys => yosys(&read()?)?,
-        CircuitFormat::Auto if target.ends_with(".bench") => bench(&read()?)?,
-        CircuitFormat::Auto if target.ends_with(".json") => yosys(&read()?)?,
-        CircuitFormat::Auto => match target {
-            "alu88" => alu(8),
-            "mult88" => multiplier(8),
-            other => iscas_like(other).ok_or_else(|| format!("unknown circuit '{other}'"))?,
-        },
+    let yosys = |text: &str| parse_yosys_json("", text).map_err(|e| parsed(e.to_string()));
+    let raw = match format.unwrap_or("auto") {
+        "bench" => bench(&read()?)?,
+        "yosys" => yosys(&read()?)?,
+        "auto" if target.ends_with(".bench") => bench(&read()?)?,
+        "auto" if target.ends_with(".json") => yosys(&read()?)?,
+        "auto" => {
+            builtin(target).ok_or_else(|| ApiError::bad(format!("unknown circuit '{target}'")))?
+        }
+        other => {
+            return Err(ApiError::bad(format!(
+                "--circuit-format: expected auto|bench|yosys, got '{other}'"
+            )))
+        }
     };
-    normalize(&raw).map_err(|e| format!("normalization failed: {e}"))
+    normalize(&raw).map_err(|e| ApiError::bad(format!("normalization failed: {e}")))
 }
 
-/// Cache-related options shared by all subcommands.
-struct CacheOpts {
-    enabled: bool,
-    dir: Option<String>,
+/// Shard and round progress on stderr, so `--format json` stdout
+/// stays machine-parseable.
+struct Progress {
+    label: String,
+    total: AtomicUsize,
 }
 
-impl CacheOpts {
-    fn take(args: &mut Args) -> Result<Self, String> {
-        let enabled = !args.take_flag("--no-cache");
-        let dir = args.take_value("--cache-dir")?;
-        Ok(Self { enabled, dir })
+impl JobObserver for Progress {
+    fn declare(&self, total: usize) {
+        self.total.store(total, Ordering::Relaxed);
     }
-}
 
-/// Output format of the analysis subcommands.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OutputFormat {
-    Text,
-    Json,
-}
-
-impl OutputFormat {
-    fn take(args: &mut Args) -> Result<Self, String> {
-        match args.take_value("--format")?.as_deref() {
-            None | Some("text") => Ok(OutputFormat::Text),
-            Some("json") => Ok(OutputFormat::Json),
-            Some(other) => Err(format!("--format: expected text|json, got '{other}'")),
+    fn unit(&self, index: usize, _partial: Value) {
+        let total = self.total.load(Ordering::Relaxed);
+        if total > 1 {
+            eprintln!("[{}] {}/{total} done", self.label, index + 1);
         }
     }
 }
 
-/// The operating conditions of a run: `--temp` (kelvin) and
-/// `--vdd-scale`, bundled as the shared [`OperatingPoint`] the whole
-/// stack characterizes through.
-fn take_operating_point(args: &mut Args) -> Result<OperatingPoint, String> {
-    let op = OperatingPoint {
-        temp: args.take_parsed("--temp", 300.0)?,
-        vdd_scale: args.take_parsed("--vdd-scale", 1.0)?,
-    };
-    op.validate()?;
-    Ok(op)
-}
-
-/// `--coarse` selects the fast 4-point test grid (what the service's
-/// `"coarse": true` does); the default is the production 11-point
-/// resolution.
-fn take_char_opts(args: &mut Args) -> CharacterizeOptions {
-    if args.take_flag("--coarse") {
-        CharacterizeOptions::coarse(&CellType::ALL)
-    } else {
-        CharacterizeOptions::default()
+fn cmd_analysis(command: &str, mut args: Vec<String>) -> Result<(), ApiError> {
+    if args.first().is_none_or(|a| a.starts_with("--")) {
+        return Err(ApiError::bad("missing circuit target (the target must come before options)"));
     }
-}
-
-/// Obtains the characterized library at an operating point, through
-/// the persistent cache unless disabled. With `quiet`, progress goes
-/// to stderr so stdout stays machine-parseable (`--format json`).
-/// A disk-cache I/O failure falls back to an uncached
-/// characterization; a solver failure is returned, not retried.
-fn load_library(
-    tech: &Technology,
-    op: &OperatingPoint,
-    opts: &CharacterizeOptions,
-    cache: &CacheOpts,
-    quiet: bool,
-) -> Result<Arc<CellLibrary>, String> {
-    macro_rules! info {
-        ($($arg:tt)*) => {
-            if quiet { eprintln!($($arg)*) } else { println!($($arg)*) }
-        };
-    }
-    let temp = op.temp;
-    let characterize = || {
-        op.characterize(tech, opts)
-            .map(Arc::new)
-            .map_err(|e| format!("characterization failed: {e}"))
-    };
-    if !cache.enabled {
-        info!("characterizing cell library for {} at {temp} K (cache disabled) ...", tech.name);
-        return characterize();
-    }
-    let store = match &cache.dir {
-        Some(dir) => LibraryCache::new(dir),
-        None => LibraryCache::default_location(),
-    };
-    let t0 = Instant::now();
-    match store.load_or_characterize(&op.tech(tech), temp, opts) {
-        Ok((lib, outcome)) => {
-            let elapsed = t0.elapsed();
-            match outcome {
-                CacheOutcome::Hit => info!(
-                    "[cache] hit: loaded {} @ {temp} K from {} in {:.1} ms",
-                    tech.name,
-                    store.dir().display(),
-                    elapsed.as_secs_f64() * 1e3
-                ),
-                CacheOutcome::Miss => info!(
-                    "[cache] miss: characterized {} @ {temp} K in {:.2} s (stored in {})",
-                    tech.name,
-                    elapsed.as_secs_f64(),
-                    store.dir().display()
-                ),
-                CacheOutcome::Invalidated => info!(
-                    "[cache] stale entry replaced: re-characterized {} @ {temp} K in {:.2} s",
-                    tech.name,
-                    elapsed.as_secs_f64()
-                ),
-                // LibraryCache is the disk layer; RAM hits only come
-                // from the MemoLibraryCache used by `serve`.
-                CacheOutcome::MemoryHit => unreachable!("disk cache cannot hit RAM"),
-            }
-            Ok(lib)
+    let target = args.remove(0);
+    let json_output = match take_own(&mut args, "--format", true)?.as_deref() {
+        None | Some("text") => false,
+        Some("json") => true,
+        Some(other) => {
+            return Err(ApiError::bad(format!("--format: expected text|json, got '{other}'")))
         }
-        Err(e @ EngineError::Cache(_)) => {
-            eprintln!("warning: {e}; continuing without the disk cache");
-            characterize()
-        }
-        Err(e) => Err(e.to_string()),
-    }
-}
-
-fn parse_mode(raw: Option<String>) -> Result<EstimatorMode, String> {
-    match raw.as_deref() {
-        None | Some("lut") => Ok(EstimatorMode::Lut),
-        Some("noloading") => Ok(EstimatorMode::NoLoading),
-        Some("direct") => Ok(EstimatorMode::DirectSolve),
-        Some(other) => Err(format!("--mode: expected lut|noloading|direct, got '{other}'")),
-    }
-}
-
-fn cmd_estimate(target: &str, mut args: Args) -> Result<(), String> {
-    let vectors: usize = args.take_parsed("--vectors", 100)?;
-    let seed: u64 = args.take_parsed("--seed", 2005)?;
-    let op = take_operating_point(&mut args)?;
-    let with_reference = args.take_flag("--reference");
-    let format = OutputFormat::take(&mut args)?;
-    let char_opts = take_char_opts(&mut args);
-    let cache = CacheOpts::take(&mut args)?;
-    let circuit_format = CircuitFormat::take(&mut args)?;
-    args.finish()?;
-    if with_reference && format == OutputFormat::Json {
+    };
+    let no_cache = take_own(&mut args, "--no-cache", false)?.is_some();
+    let cache_dir = take_own(&mut args, "--cache-dir", true)?;
+    let circuit_format = take_own(&mut args, "--circuit-format", true)?;
+    let reference = command == "estimate" && take_own(&mut args, "--reference", false)?.is_some();
+    let out = if command == "optimize" { take_own(&mut args, "--out", true)? } else { None };
+    let body = decode_flags(&args)?;
+    if reference && json_output {
         // Refusing beats silently dropping the reference solve from
         // the JSON report.
-        return Err("--reference is not supported with --format json".to_string());
+        return Err(ApiError::bad("--reference is not supported with --format json"));
     }
 
-    let t0 = Instant::now();
-    let circuit = load_circuit(target, circuit_format)?;
-    if format == OutputFormat::Text {
-        println!("{}", CircuitStats::compute(&circuit));
-    }
-    let tech = Technology::d25();
-    let lib = load_library(&tech, &op, &char_opts, &cache, format == OutputFormat::Json)?;
-
-    let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let patterns = Pattern::random_batch(&circuit, &mut rng, vectors);
-
-    let loaded = estimate_batch(&circuit, &lib, &patterns, EstimatorMode::Lut)
-        .map_err(|e| format!("estimation failed: {e}"))?;
-    let unloaded = estimate_batch(&circuit, &lib, &patterns, EstimatorMode::NoLoading)
-        .expect("baseline estimation cannot fail after loaded pass");
-
-    let mean =
-        |rs: &[CircuitLeakage]| rs.iter().map(|r| r.total.total()).sum::<f64>() / rs.len() as f64;
-    let pairs: Vec<_> = loaded.iter().cloned().zip(unloaded.iter().cloned()).collect();
-    let impact = LoadingImpact::from_pairs(&pairs);
-
-    if format == OutputFormat::Json {
-        // The service's POST /v1/estimate response type, so one
-        // parser covers both transports by construction.
-        let report = EstimateResponse {
-            target: target.to_string(),
-            gates: circuit.gate_count(),
-            input_bits: circuit.inputs().len() + circuit.state_inputs().len(),
-            vectors,
-            seed,
-            temp: op.temp,
-            mean_total_a: mean(&loaded),
-            mean_no_loading_a: mean(&unloaded),
-            mean_power_w: mean(&loaded) * lib.tech.vdd,
-            loading_impact_avg: impact.avg_total,
-            loading_impact_max: impact.max_total,
-            elapsed_ms: t0.elapsed().as_secs_f64() * 1e3,
-        };
-        println!("{}", serde::json::to_string_pretty(&report));
-        return Ok(());
-    }
-
-    println!("\nleakage over {vectors} random vectors (mean):");
-    println!("  without loading : {:10.3} uA", mean(&unloaded) * 1e6);
-    println!("  with loading    : {:10.3} uA", mean(&loaded) * 1e6);
-    println!("  leakage power   : {:10.3} uW (with loading)", mean(&loaded) * lib.tech.vdd * 1e6);
-    println!("\nloading impact (avg over vectors):");
-    println!("  subthreshold    : {:+7.2} %", impact.avg.sub * 100.0);
-    println!("  gate tunneling  : {:+7.2} %", impact.avg.gate * 100.0);
-    println!("  junction BTBT   : {:+7.2} %", impact.avg.btbt * 100.0);
-    println!("  total           : {:+7.2} %", impact.avg_total * 100.0);
-    println!("loading impact (max over vectors): {:+7.2} %", impact.max_total * 100.0);
-
-    if with_reference {
-        let n = patterns.len().min(5);
-        println!("\nrunning full reference solve on {n} vectors (slow) ...");
-        match nanoleak_core::reference_batch(
-            &circuit,
-            &lib.tech,
-            op.temp,
-            &patterns[..n],
-            &ReferenceOptions::default(),
-        ) {
-            Ok(refs) => {
-                let accs: Vec<_> =
-                    loaded[..n].iter().zip(&refs).map(|(e, r)| accuracy(e, &r.leakage)).collect();
-                let mean_err =
-                    accs.iter().map(|a| a.total_rel_err.abs()).sum::<f64>() / accs.len() as f64;
-                println!(
-                    "  reference mean  : {:10.3} uA",
-                    refs.iter().map(|r| r.leakage.total.total()).sum::<f64>() / n as f64 * 1e6
-                );
-                println!("  estimator error : {:7.2} % (mean |total|)", mean_err * 100.0);
+    let circuit = load_circuit(&target, circuit_format.as_deref())?;
+    // The server's stores: a RAM memo over the disk cache, RAM only
+    // without one. Monte-Carlo dies are one-shot, so `mc` never
+    // touches the disk.
+    let cache = MemoLibraryCache::configured(!no_cache && command != "mc", cache_dir);
+    let unit = if command == "optimize" { "round" } else { "shard" };
+    let progress = Progress { label: format!("{command} {unit}"), total: AtomicUsize::new(0) };
+    match command {
+        "estimate" => {
+            let r = api::estimate_circuit(&cache, &body, target, &circuit)?;
+            emit(json_output, &r, print_estimate);
+            if reference {
+                print_reference(&cache, &body, &circuit, &r)?;
             }
-            Err(e) => eprintln!("  reference failed: {e}"),
         }
+        "sweep" => {
+            let r = api::sweep_circuit(&cache, &body, target, &circuit, &progress)?;
+            emit(json_output, &r, print_sweep);
+        }
+        "mlv" => emit(json_output, &api::mlv_circuit(&cache, &body, target, &circuit)?, print_mlv),
+        "optimize" => {
+            let r = api::optimize_circuit(&cache, &body, target, &circuit, &progress)?;
+            if let Some(path) = &out {
+                std::fs::write(path, json::value_to_string(&r.netlist))
+                    .map_err(|e| ApiError::bad(format!("cannot write '{path}': {e}")))?;
+                eprintln!("[optimize] wrote optimized netlist to {path}");
+            }
+            emit(json_output, &r, print_optimize);
+        }
+        "mc" => {
+            let r = api::mc_circuit(&cache, &body, target, &circuit, &progress)?;
+            emit(json_output, &r, print_mc);
+        }
+        _ => unreachable!("dispatch covers all commands"),
+    }
+    let stats = cache.stats();
+    let store = cache.disk().map_or("RAM only".to_string(), |d| d.dir().display().to_string());
+    eprintln!(
+        "[cache] {} disk hit(s), {} characterization(s), {} RAM hit(s) ({store})",
+        stats.disk_hits, stats.characterizations, stats.memory_hits
+    );
+    Ok(())
+}
+
+/// Prints the response as pretty JSON, or renders it as text.
+fn emit<T: Serialize>(json_output: bool, response: &T, render: fn(&T)) {
+    if json_output {
+        println!("{}", json::to_string_pretty(response));
+    } else {
+        render(response);
+    }
+}
+
+fn print_estimate(r: &EstimateResponse) {
+    println!("{}: {} gates, {} input bits", r.target, r.gates, r.input_bits);
+    println!("\nleakage over {} random vectors (mean):", r.vectors);
+    println!("  without loading : {:10.3} uA", r.mean_no_loading_a * 1e6);
+    println!("  with loading    : {:10.3} uA", r.mean_total_a * 1e6);
+    println!("  leakage power   : {:10.3} uW (with loading)", r.mean_power_w * 1e6);
+    println!("\nloading impact (avg over vectors):");
+    println!("  subthreshold    : {:+7.2} %", r.loading_impact_avg_sub * 100.0);
+    println!("  gate tunneling  : {:+7.2} %", r.loading_impact_avg_gate * 100.0);
+    println!("  junction BTBT   : {:+7.2} %", r.loading_impact_avg_btbt * 100.0);
+    println!("  total           : {:+7.2} %", r.loading_impact_avg * 100.0);
+    println!("loading impact (max over vectors): {:+7.2} %", r.loading_impact_max * 100.0);
+}
+
+/// `--reference`: the full transistor-level solve on the first few of
+/// the run's patterns (regenerated from its seed), against the
+/// estimator on the same patterns.
+fn print_reference(
+    cache: &MemoLibraryCache,
+    body: &Body,
+    circuit: &Circuit,
+    r: &EstimateResponse,
+) -> Result<(), ApiError> {
+    let op = api::resolve_operating_point(body)?;
+    let tech = api::resolve_tech(body)?;
+    let (lib, _) = cache
+        .get_or_characterize_at(&tech, &op, &api::resolve_char_opts(body)?)
+        .map_err(|e| ApiError::unprocessable(e.to_string()))?;
+    let n = r.vectors.min(5);
+    let mut rng = rand::rngs::StdRng::seed_from_u64(r.seed);
+    let patterns = Pattern::random_batch(circuit, &mut rng, n);
+    let loaded = estimate_batch(circuit, &lib, &patterns, EstimatorMode::Lut)
+        .map_err(|e| ApiError::unprocessable(format!("estimation failed: {e}")))?;
+    println!("\nrunning full reference solve on {n} vectors (slow) ...");
+    match reference_batch(circuit, &lib.tech, op.temp, &patterns, &ReferenceOptions::default()) {
+        Ok(refs) => {
+            let mean_err = loaded
+                .iter()
+                .zip(&refs)
+                .map(|(e, r)| accuracy(e, &r.leakage).total_rel_err.abs())
+                .sum::<f64>()
+                / n as f64;
+            println!(
+                "  reference mean  : {:10.3} uA",
+                refs.iter().map(|r| r.leakage.total.total()).sum::<f64>() / n as f64 * 1e6
+            );
+            println!("  estimator error : {:7.2} % (mean |total|)", mean_err * 100.0);
+        }
+        Err(e) => eprintln!("  reference failed: {e}"),
     }
     Ok(())
 }
 
-/// The `--lanes` flag shared by sweep/mlv/mc: `0` (auto → the
-/// 64-wide block kernel), `64` (block explicitly), or `1` (the scalar
-/// reference path). A throughput knob only — results are
-/// bit-identical either way.
-fn take_lanes(args: &mut Args) -> Result<usize, String> {
-    let lanes: usize = args.take_parsed("--lanes", 0)?;
-    if !matches!(lanes, 0 | 1 | 64) {
-        return Err(format!("--lanes: expected 0 (auto), 1 (scalar), or 64 (block), got {lanes}"));
-    }
-    Ok(lanes)
+/// One table row: the label, then each value in microamps.
+fn print_row(name: &str, width: usize, values: &[f64]) {
+    let cells: String = values.iter().map(|v| format!(" {:>width$.4}", v * 1e6)).collect();
+    println!("  {name:<6}{cells}");
 }
 
-fn cmd_sweep(target: &str, mut args: Args) -> Result<(), String> {
-    let config = SweepConfig {
-        vectors: args.take_parsed("--vectors", 100)?,
-        seed: args.take_parsed("--seed", 2005)?,
-        threads: args.take_parsed("--threads", 0)?,
-        mode: parse_mode(args.take_value("--mode")?)?,
-        lanes: take_lanes(&mut args)?,
-    };
-    let op = take_operating_point(&mut args)?;
-    let shard_vectors: usize = args.take_parsed("--shard-vectors", 0)?;
-    let format = OutputFormat::take(&mut args)?;
-    let char_opts = take_char_opts(&mut args);
-    let cache = CacheOpts::take(&mut args)?;
-    let circuit_format = CircuitFormat::take(&mut args)?;
-    args.finish()?;
-    if config.vectors == 0 {
-        return Err("--vectors must be at least 1".to_string());
-    }
-
-    let circuit = load_circuit(target, circuit_format)?;
-    if format == OutputFormat::Text {
-        println!("{}", CircuitStats::compute(&circuit));
-    }
-    let tech = Technology::d25();
-    let lib = load_library(&tech, &op, &char_opts, &cache, format == OutputFormat::Json)?;
-
-    // Progress streams to stderr so `--format json` stdout stays
-    // machine-parseable; merged stats are bit-identical to a
-    // monolithic sweep for any shard size.
-    let shards = shard_count(config.vectors, shard_vectors);
-    let report = sweep_streaming(&circuit, &lib, &config, shard_vectors, |shard| {
-        if shards > 1 {
-            eprintln!(
-                "[sweep] shard {}/{shards}: {} vectors done (mean {:.4} uA)",
-                shard.shard + 1,
-                shard.start + shard.vectors,
-                shard.stats.total.mean * 1e6
-            );
-        }
-        true
-    })
-    .map_err(|e| format!("sweep failed: {e}"))?
-    .expect("CLI sweeps are never cancelled");
-    let s = &report.stats;
-    let t = &report.telemetry;
-
-    if format == OutputFormat::Json {
-        // The service's POST /v1/sweep response type (see estimate).
-        let report_json = SweepResponse {
-            target: target.to_string(),
-            gates: circuit.gate_count(),
-            temp: op.temp,
-            config,
-            shards,
-            min_vector: fmt_pattern(&s.min.pattern),
-            max_vector: fmt_pattern(&s.max.pattern),
-            stats: s.clone(),
-            elapsed_ms: t.elapsed.as_secs_f64() * 1e3,
-            patterns_per_sec: t.patterns_per_sec,
-        };
-        println!("{}", serde::json::to_string_pretty(&report_json));
-        return Ok(());
-    }
-
-    let ua = 1e6;
-    let row = |name: &str, st: &ScalarStats| {
-        println!(
-            "  {name:<6} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.4} {:>10.4}",
-            st.mean * ua,
-            st.std * ua,
-            st.min * ua,
-            st.p50 * ua,
-            st.p90 * ua,
-            st.p99 * ua,
-            st.max * ua,
-        );
-    };
+fn print_sweep(r: &SweepResponse) {
+    let (s, ua) = (&r.stats, 1e6);
+    println!("{}: {} gates", r.target, r.gates);
     println!("\nper-vector leakage statistics over {} vectors [uA]:", s.vectors);
     println!(
         "  {:<6} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10} {:>10}",
         "", "mean", "std", "min", "p50", "p90", "p99", "max"
     );
-    row("total", &s.total);
-    row("sub", &s.sub);
-    row("gate", &s.gate);
-    row("btbt", &s.btbt);
+    for (name, st) in [("total", &s.total), ("sub", &s.sub), ("gate", &s.gate), ("btbt", &s.btbt)] {
+        print_row(name, 10, &[st.mean, st.std, st.min, st.p50, st.p90, st.p99, st.max]);
+    }
+    println!();
+    for (label, extreme) in [("min", &s.min), ("max", &s.max)] {
+        println!(
+            "  {label} vector : #{:<6} {} ({:.4} uA)",
+            extreme.index,
+            fmt_pattern(&extreme.pattern),
+            extreme.leakage.total() * ua
+        );
+    }
     println!(
-        "\n  min vector : #{:<6} {} ({:.4} uA)",
-        s.min.index,
-        fmt_pattern(&s.min.pattern),
-        s.min.leakage.total() * ua
-    );
-    println!(
-        "  max vector : #{:<6} {} ({:.4} uA)",
-        s.max.index,
-        fmt_pattern(&s.max.pattern),
-        s.max.leakage.total() * ua
-    );
-    println!(
-        "\n  {} vectors on {} thread(s) in {:.3} s — {:.0} patterns/sec",
+        "\n  {} vectors in {:.3} s — {:.0} patterns/sec",
         s.vectors,
-        t.threads,
-        t.elapsed.as_secs_f64(),
-        t.patterns_per_sec
+        r.elapsed_ms / 1e3,
+        r.patterns_per_sec
     );
-    Ok(())
 }
 
-/// The MLV-search flags shared by `mlv` and `optimize` (goal,
-/// strategy, seed, threads), mirroring the service's resolver.
-fn take_mlv_config(args: &mut Args) -> Result<MlvConfig, String> {
-    let goal = match args.take_value("--goal")?.as_deref() {
-        None | Some("min") => MlvGoal::Min,
-        Some("max") => MlvGoal::Max,
-        Some(other) => return Err(format!("--goal: expected min|max, got '{other}'")),
-    };
-    let samples: usize = args.take_parsed("--samples", 1024)?;
-    let restarts: usize = args.take_parsed("--restarts", 8)?;
-    let max_steps: usize = args.take_parsed("--max-steps", 64)?;
-    if samples == 0 {
-        return Err("--samples must be at least 1".to_string());
-    }
-    if restarts == 0 {
-        return Err("--restarts must be at least 1".to_string());
-    }
-    let strategy = match args.take_value("--strategy")?.as_deref() {
-        None | Some("hillclimb") => MlvStrategy::HillClimb { restarts, max_steps },
-        Some("exhaustive") => MlvStrategy::Exhaustive,
-        Some("random") => MlvStrategy::Random { samples },
-        Some(other) => {
-            return Err(format!("--strategy: expected exhaustive|random|hillclimb, got '{other}'"))
-        }
-    };
-    Ok(MlvConfig {
-        goal,
-        strategy,
-        seed: args.take_parsed("--seed", 2005)?,
-        threads: args.take_parsed("--threads", 0)?,
-        mode: EstimatorMode::Lut,
-        lanes: take_lanes(args)?,
-    })
-}
-
-fn goal_name(goal: MlvGoal) -> &'static str {
-    match goal {
-        MlvGoal::Min => "min",
-        MlvGoal::Max => "max",
+fn goal_word(goal: &str) -> &'static str {
+    if goal == "max" {
+        "maximum"
+    } else {
+        "minimum"
     }
 }
 
-fn cmd_mlv(target: &str, mut args: Args) -> Result<(), String> {
-    let config = take_mlv_config(&mut args)?;
-    let goal = config.goal;
-    let op = take_operating_point(&mut args)?;
-    let format = OutputFormat::take(&mut args)?;
-    let char_opts = take_char_opts(&mut args);
-    let cache = CacheOpts::take(&mut args)?;
-    let circuit_format = CircuitFormat::take(&mut args)?;
-    args.finish()?;
-
-    let circuit = load_circuit(target, circuit_format)?;
-    if format == OutputFormat::Text {
-        println!("{}", CircuitStats::compute(&circuit));
-    }
-    let tech = Technology::d25();
-    let lib = load_library(&tech, &op, &char_opts, &cache, format == OutputFormat::Json)?;
-
-    let result =
-        mlv_search(&circuit, &lib, &config).map_err(|e| format!("MLV search failed: {e}"))?;
-    let tel = &result.telemetry;
-
-    if format == OutputFormat::Json {
-        // The service's POST /v1/mlv response type, so one parser
-        // covers both transports by construction (floats print
-        // shortest-round-trip, decoding bit-exactly).
-        let goal_name = match goal {
-            MlvGoal::Min => "min",
-            MlvGoal::Max => "max",
-        };
-        let report = MlvResponse {
-            target: target.to_string(),
-            goal: goal_name.to_string(),
-            strategy: tel.strategy.to_string(),
-            vector: fmt_pattern(&result.pattern),
-            pattern: result.pattern.clone(),
-            objective_a: result.objective,
-            sub_a: result.leakage.total.sub,
-            gate_a: result.leakage.total.gate,
-            btbt_a: result.leakage.total.btbt,
-            evaluations: tel.evaluations,
-            improving_moves: tel.improving_moves,
-            restarts: tel.restarts,
-            // Search-only wall clock, matching the service's
-            // `POST /v1/mlv` semantics for the same field.
-            elapsed_ms: tel.elapsed.as_secs_f64() * 1e3,
-        };
-        println!("{}", serde::json::to_string_pretty(&report));
-        return Ok(());
-    }
-
-    let which = match goal {
-        MlvGoal::Min => "minimum",
-        MlvGoal::Max => "maximum",
-    };
-    println!("\n{which}-leakage vector ({} strategy):", tel.strategy);
-    println!("  vector   : {}", fmt_pattern(&result.pattern));
-    println!("  leakage  : {:.4} uA total", result.objective * 1e6);
+fn print_mlv(r: &MlvResponse) {
+    println!("{}: {}-leakage vector ({} strategy):", r.target, goal_word(&r.goal), r.strategy);
+    println!("  vector   : {}", r.vector);
+    println!("  leakage  : {:.4} uA total", r.objective_a * 1e6);
     println!(
         "  breakdown: sub {:.4} / gate {:.4} / btbt {:.4} uA",
-        result.leakage.total.sub * 1e6,
-        result.leakage.total.gate * 1e6,
-        result.leakage.total.btbt * 1e6
-    );
-    println!(
-        "  power    : {:.4} uW at {:.2} V",
-        result.objective * lib.tech.vdd * 1e6,
-        lib.tech.vdd
+        r.sub_a * 1e6,
+        r.gate_a * 1e6,
+        r.btbt_a * 1e6
     );
     println!(
         "\n  {} evaluations, {} improving moves, {} restart(s) in {:.3} s",
-        tel.evaluations,
-        tel.improving_moves,
-        tel.restarts,
-        tel.elapsed.as_secs_f64()
+        r.evaluations,
+        r.improving_moves,
+        r.restarts,
+        r.elapsed_ms / 1e3
     );
-    Ok(())
 }
 
-fn cmd_optimize(target: &str, mut args: Args) -> Result<(), String> {
-    let mlv = take_mlv_config(&mut args)?;
-    let rounds: usize = args.take_parsed("--rounds", 4)?;
-    if rounds == 0 {
-        return Err("--rounds must be at least 1".to_string());
-    }
-    let config = OptimizeConfig {
-        mlv,
-        max_rounds: rounds,
-        canonicalize: !args.take_flag("--no-canonicalize"),
-        permute: !args.take_flag("--no-permute"),
-        remap: !args.take_flag("--no-remap"),
-    };
-    let out_path = args.take_value("--out")?;
-    let op = take_operating_point(&mut args)?;
-    let format = OutputFormat::take(&mut args)?;
-    let char_opts = take_char_opts(&mut args);
-    let cache = CacheOpts::take(&mut args)?;
-    let circuit_format = CircuitFormat::take(&mut args)?;
-    args.finish()?;
-
-    let t0 = Instant::now();
-    let circuit = load_circuit(target, circuit_format)?;
-    if format == OutputFormat::Text {
-        println!("{}", CircuitStats::compute(&circuit));
-    }
-    let tech = Technology::d25();
-    let lib = load_library(&tech, &op, &char_opts, &cache, format == OutputFormat::Json)?;
-
-    // Round progress goes to stderr so `--format json` stdout stays
-    // machine-parseable.
-    let result = optimize_with(&circuit, &lib, &config, |round| {
-        eprintln!(
-            "[optimize] round {}/{}: objective {:.4} uA ({} permutation(s), {} remap(s))",
-            round.round,
-            round.rounds_total,
-            round.objective_a * 1e6,
-            round.accepted_permutations,
-            round.accepted_remaps
-        );
-        true
-    })
-    .map_err(|e| format!("optimization failed: {e}"))?
-    .expect("CLI optimizations are never cancelled");
-
-    if let Some(path) = &out_path {
-        let netlist = serde::json::value_to_string(&circuit_to_value(&result.circuit));
-        std::fs::write(path, netlist).map_err(|e| format!("cannot write '{path}': {e}"))?;
-        eprintln!("[optimize] wrote optimized netlist to {path}");
-    }
-
-    if format == OutputFormat::Json {
-        // The service's POST /v1/optimize response type, so one
-        // parser covers both transports by construction.
-        let (pairs, dead) = result
-            .canonical
-            .as_ref()
-            .map_or((0, 0), |r| (r.inverter_pairs_removed, r.dead_gates_removed));
-        let response = OptimizeResponse {
-            target: target.to_string(),
-            goal: goal_name(config.mlv.goal).to_string(),
-            strategy: result.baseline.telemetry.strategy.to_string(),
-            gates_before: result.gates_before,
-            gates_after: result.gates_after,
-            rounds_run: result.rounds.len(),
-            max_rounds: rounds,
-            baseline_vector: fmt_pattern(&result.baseline.pattern),
-            baseline_a: result.baseline.objective,
-            improved_vector: fmt_pattern(&result.improved.pattern),
-            improved_a: result.improved.objective,
-            improved_power_w: result.improved.objective * lib.tech.vdd,
-            improvement_percent: result.improvement_percent(),
-            accepted_permutations: result.rounds.iter().map(|r| r.accepted_permutations).sum(),
-            accepted_remaps: result.rounds.iter().map(|r| r.accepted_remaps).sum(),
-            canonicalized: result.canonical.is_some(),
-            inverter_pairs_removed: pairs,
-            dead_gates_removed: dead,
-            reverted: result.reverted,
-            evaluations: result.evaluations,
-            rounds: result.rounds.iter().map(round_to_value).collect(),
-            netlist: circuit_to_value(&result.circuit),
-            elapsed_ms: t0.elapsed().as_secs_f64() * 1e3,
-        };
-        println!("{}", serde::json::to_string_pretty(&response));
-        return Ok(());
-    }
-
+fn print_optimize(r: &OptimizeResponse) {
     let ua = 1e6;
-    let which = match config.mlv.goal {
-        MlvGoal::Min => "minimum",
-        MlvGoal::Max => "maximum",
-    };
-    println!("\nleakage optimization at the {which}-leakage vector:");
-    if let Some(report) = &result.canonical {
+    println!("{}: leakage optimization at the {}-leakage vector:", r.target, goal_word(&r.goal));
+    if r.canonicalized {
         println!(
-            "  canonical : {} -> {} gates ({} inverter pair(s), {} dead gate(s) removed)",
-            report.gates_before,
-            report.gates_after,
-            report.inverter_pairs_removed,
-            report.dead_gates_removed
+            "  canonical : {} inverter pair(s), {} dead gate(s) removed",
+            r.inverter_pairs_removed, r.dead_gates_removed
         );
     }
-    println!(
-        "  baseline  : {:.4} uA at {}",
-        result.baseline.objective * ua,
-        fmt_pattern(&result.baseline.pattern)
-    );
+    println!("  baseline  : {:.4} uA at {}", r.baseline_a * ua, r.baseline_vector);
     println!(
         "  improved  : {:.4} uA at {} ({:+.2} %)",
-        result.improved.objective * ua,
-        fmt_pattern(&result.improved.pattern),
-        -result.improvement_percent()
+        r.improved_a * ua,
+        r.improved_vector,
+        -r.improvement_percent
     );
     println!(
         "  rewrites  : {} pin permutation(s), {} NAND/NOR remap(s) over {} round(s)",
-        result.rounds.iter().map(|r| r.accepted_permutations).sum::<usize>(),
-        result.rounds.iter().map(|r| r.accepted_remaps).sum::<usize>(),
-        result.rounds.len()
+        r.accepted_permutations, r.accepted_remaps, r.rounds_run
     );
-    println!("  gates     : {} -> {}", result.gates_before, result.gates_after);
-    if result.reverted {
+    println!("  gates     : {} -> {}", r.gates_before, r.gates_after);
+    if r.reverted {
         println!("  (no rewrite survived the objective guard; input returned unchanged)");
     }
-    println!(
-        "\n  {} estimator evaluations in {:.3} s",
-        result.evaluations,
-        result.elapsed.as_secs_f64()
-    );
-    Ok(())
+    println!("\n  {} estimator evaluations in {:.3} s", r.evaluations, r.elapsed_ms / 1e3);
 }
 
-fn cmd_mc(target: &str, mut args: Args) -> Result<(), String> {
-    let samples: usize = args.take_parsed("--samples", 200)?;
-    let vectors: usize = args.take_parsed("--vectors", 1)?;
-    let seed: u64 = args.take_parsed("--seed", 2005)?;
-    let sigma_vt: f64 = args.take_parsed("--sigma-vt", 30e-3)?;
-    let sigma_vt_intra: f64 = args.take_parsed("--sigma-vt-intra", 30e-3)?;
-    let threads: usize = args.take_parsed("--threads", 0)?;
-    let lanes = take_lanes(&mut args)?;
-    let shard_samples: usize = args.take_parsed("--shard-samples", 0)?;
-    let op = take_operating_point(&mut args)?;
-    let format = OutputFormat::take(&mut args)?;
-    let coarse = args.take_flag("--coarse");
-    let exact = args.take_flag("--exact");
-    // Accepted for flag-set compatibility with the other subcommands,
-    // but deliberately unused: per-sample libraries belong to unique
-    // perturbed dies, so `mc` never reads or writes the disk cache.
-    let _ = CacheOpts::take(&mut args)?;
-    let circuit_format = CircuitFormat::take(&mut args)?;
-    args.finish()?;
-    if samples == 0 || vectors == 0 {
-        return Err("--samples and --vectors must be at least 1".to_string());
-    }
-
-    let circuit = load_circuit(target, circuit_format)?;
-    if format == OutputFormat::Text {
-        println!("{}", CircuitStats::compute(&circuit));
-    }
-    let tech = Technology::d25();
-    let sigmas =
-        VariationSigmas::paper_nominal().with_vt_inter(sigma_vt).with_vt_intra(sigma_vt_intra);
-    sigmas.validate()?;
-    let config = CircuitMcConfig {
-        samples,
-        seed,
-        sigmas,
-        op,
-        vectors,
-        pattern_seed: seed,
-        threads,
-        char_opts: char_opts_for(&circuit, coarse),
-        lanes,
-    };
-    // Per-sample libraries belong to unique perturbed dies: memoize in
-    // RAM (re-runs of one seed hit), never on disk (one-shot litter).
-    let cache = MemoLibraryCache::memory_only();
-    let shards = shard_count(samples, shard_samples);
-    let mode = McMode::from_exact(exact);
-    let report =
-        mc_streaming_mode(&circuit, &tech, &cache, &config, mode, shard_samples, |shard| {
-            if shards > 1 {
-                eprintln!(
-                    "[mc] shard {}/{shards}: {} samples done (loaded mean {:.4} uA)",
-                    shard.shard + 1,
-                    shard.start + shard.samples,
-                    shard.summary.loaded.total.mean * 1e6
-                );
-            }
-            true
-        })
-        .map_err(|e| format!("monte carlo failed: {e}"))?
-        .expect("CLI MC runs are never cancelled");
-    let summary = report.summary;
-    let tel = &report.telemetry;
-
-    if format == OutputFormat::Json {
-        // The service's "mc" job response type (see estimate/sweep).
-        let response = McResponse {
-            target: target.to_string(),
-            gates: circuit.gate_count(),
-            samples,
-            vectors,
-            seed,
-            pattern_seed: seed,
-            temp: op.temp,
-            vdd_scale: op.vdd_scale,
-            sigmas: config.sigmas,
-            shards,
-            exact,
-            summary,
-            elapsed_ms: tel.elapsed.as_secs_f64() * 1e3,
-            samples_per_sec: tel.samples_per_sec,
-        };
-        println!("{}", serde::json::to_string_pretty(&response));
-        return Ok(());
-    }
-
-    let ua = 1e6;
+fn print_mc(r: &McResponse) {
+    let summary = &r.summary;
     println!(
-        "\nleakage distribution over {samples} perturbed dies \
-         (sigma_vt {:.0} mV inter / {:.0} mV intra, {vectors} vector(s)/sample) [uA]:",
-        sigma_vt * 1e3,
-        sigma_vt_intra * 1e3
+        "{}: leakage distribution over {} perturbed dies \
+         (sigma_vt {:.0} mV inter / {:.0} mV intra, {} vector(s)/sample) [uA]:",
+        r.target,
+        r.samples,
+        r.sigmas.vt_inter * 1e3,
+        r.sigmas.vt_intra * 1e3,
+        r.vectors
     );
     println!(
         "  {:<6} {:>12} {:>12} {:>12} {:>12}",
         "", "mean(load)", "mean(no)", "std(load)", "std(no)"
     );
-    let row = |name: &str, l: &Stats, u: &Stats| {
-        println!(
-            "  {name:<6} {:>12.4} {:>12.4} {:>12.4} {:>12.4}",
-            l.mean * ua,
-            u.mean * ua,
-            l.std * ua,
-            u.std * ua
-        );
-    };
-    row("total", &summary.loaded.total, &summary.unloaded.total);
-    row("sub", &summary.loaded.sub, &summary.unloaded.sub);
-    row("gate", &summary.loaded.gate, &summary.unloaded.gate);
-    row("btbt", &summary.loaded.btbt, &summary.unloaded.btbt);
+    let (l, u) = (&summary.loaded, &summary.unloaded);
+    for (name, l, u) in [
+        ("total", &l.total, &u.total),
+        ("sub", &l.sub, &u.sub),
+        ("gate", &l.gate, &u.gate),
+        ("btbt", &l.btbt, &u.btbt),
+    ] {
+        print_row(name, 12, &[l.mean, u.mean, l.std, u.std]);
+    }
     println!(
         "\n  loading shifts the total-leakage mean by {:+.2}% and the spread by {:+.2}%",
         summary.mean_shift * 100.0,
         summary.std_shift * 100.0
     );
     println!(
-        "\n  {samples} samples in {:.3} s — {:.1} samples/sec{}",
-        tel.elapsed.as_secs_f64(),
-        tel.samples_per_sec,
-        if exact { " (exact per-die characterization)" } else { "" }
+        "\n  {} samples in {:.3} s — {:.1} samples/sec{}",
+        r.samples,
+        r.elapsed_ms / 1e3,
+        r.samples_per_sec,
+        if r.exact { " (exact per-die characterization)" } else { "" }
     );
     if let Some(fast) = &summary.fast {
         println!(
@@ -1080,61 +588,50 @@ fn cmd_mc(target: &str, mut args: Args) -> Result<(), String> {
             fast.tol
         );
     }
-    Ok(())
 }
 
-fn cmd_serve(mut args: Args) -> Result<(), String> {
+fn cmd_serve(mut args: Vec<String>) -> Result<(), ApiError> {
+    let no_cache = take_own(&mut args, "--no-cache", false)?.is_some();
+    let cache_dir = take_own(&mut args, "--cache-dir", true)?;
+    let body = decode_flags(&args)?;
     let defaults = ServeConfig::default();
-    let addr = args.take_value("--addr")?.unwrap_or_else(|| "127.0.0.1:8425".to_string());
-    let threads: usize = args.take_parsed("--threads", 0)?;
-    let queue_capacity: usize = args.take_parsed("--queue", 64)?;
-    let keep_alive_requests: usize =
-        args.take_parsed("--keep-alive", defaults.keep_alive_requests)?;
-    let finished_jobs_cap: usize = args.take_parsed("--job-cap", defaults.finished_jobs_cap)?;
-    let default_job_timeout_ms: u64 = args.take_parsed("--default-job-timeout-ms", 0)?;
-    // `--faults` wins over $NANOLEAK_FAULTS; either arms the global
-    // failpoint registry before any worker starts.
-    let armed_faults = match args.take_value("--faults")? {
-        Some(spec) => nanoleak_fault::arm_from_spec(&spec).map_err(|e| format!("--faults: {e}"))?,
-        None => nanoleak_fault::arm_from_env()
-            .map_err(|e| format!("{}: {e}", nanoleak_fault::ENV_VAR))?,
+    // The `timeout_ms` rule of job requests, with 0 meaning none.
+    let timeout_ms = match body.get("default_job_timeout_ms", 0u64)? {
+        0 => None,
+        ms => Some(check_job_timeout("default_job_timeout_ms", ms)?),
     };
-    // `--log-level` wins; otherwise NANOLEAK_LOG applies (read lazily
-    // by nanoleak-obs); otherwise a long-lived service defaults to
-    // info so operators see startup and job lines.
-    match args.take_value("--log-level")? {
-        Some(raw) => {
-            let level = nanoleak_obs::Level::parse(&raw)
-                .ok_or_else(|| format!("--log-level: unknown level '{raw}'"))?;
-            nanoleak_obs::set_level(level);
-        }
-        None => {
-            if std::env::var_os("NANOLEAK_LOG").is_none() {
-                nanoleak_obs::set_level(nanoleak_obs::Level::Info);
-            }
-        }
-    }
-    if queue_capacity == 0 {
-        return Err("--queue must be at least 1".to_string());
-    }
-    if finished_jobs_cap == 0 {
-        return Err("--job-cap must be at least 1".to_string());
-    }
-    let cache = CacheOpts::take(&mut args)?;
-    args.finish()?;
-
     let config = ServeConfig {
-        addr,
-        threads,
-        queue_capacity,
-        cache_dir: cache.dir.map(std::path::PathBuf::from),
-        disk_cache: cache.enabled,
-        keep_alive_requests,
-        finished_jobs_cap,
-        default_job_timeout: (default_job_timeout_ms > 0)
-            .then(|| std::time::Duration::from_millis(default_job_timeout_ms)),
+        addr: body.get("addr", defaults.addr.clone())?,
+        threads: body.get("threads", defaults.threads)?,
+        queue_capacity: body.get("queue", defaults.queue_capacity)?,
+        cache_dir: cache_dir.map(std::path::PathBuf::from),
+        disk_cache: !no_cache,
+        keep_alive_requests: body.get("keep_alive", defaults.keep_alive_requests)?,
+        finished_jobs_cap: body.get("job_cap", defaults.finished_jobs_cap)?,
+        default_job_timeout: timeout_ms.map(std::time::Duration::from_millis),
         ..defaults
     };
+    if config.queue_capacity == 0 || config.finished_jobs_cap == 0 {
+        return Err(ApiError::bad("'queue' and 'job_cap' must be at least 1"));
+    }
+    let faults: Option<String> = body.opt("faults")?;
+    let log_level: Option<String> = body.opt("log_level")?;
+    body.reject_unread()?;
+    // `--faults` wins over $NANOLEAK_FAULTS; either arms the global
+    // failpoint registry before any worker starts.
+    let armed_faults = match faults {
+        Some(spec) => nanoleak_fault::arm_from_spec(&spec)
+            .map_err(|e| ApiError::bad(format!("faults: {e}")))?,
+        None => nanoleak_fault::arm_from_env()
+            .map_err(|e| ApiError::bad(format!("{}: {e}", nanoleak_fault::ENV_VAR)))?,
+    };
+    // `--log-level` wins over NANOLEAK_LOG and the default set in
+    // `main`.
+    if let Some(raw) = log_level {
+        let level = Level::parse(&raw)
+            .ok_or_else(|| ApiError::bad(format!("log_level: unknown level '{raw}'")))?;
+        nanoleak_obs::set_level(level);
+    }
     if armed_faults > 0 {
         nanoleak_obs::warn!(
             "serve",
@@ -1143,8 +640,11 @@ fn cmd_serve(mut args: Args) -> Result<(), String> {
         );
     }
     nanoleak_serve::install_signal_handlers();
-    let server = Server::bind(&config).map_err(|e| format!("cannot bind {}: {e}", config.addr))?;
-    let addr = server.local_addr().map_err(|e| format!("cannot resolve bound address: {e}"))?;
+    let fatal = |e: String| ApiError { status: 500, message: e };
+    let server =
+        Server::bind(&config).map_err(|e| fatal(format!("cannot bind {}: {e}", config.addr)))?;
+    let addr =
+        server.local_addr().map_err(|e| fatal(format!("cannot resolve bound address: {e}")))?;
     let stats = server.state().stats();
     // The listening line stays on stdout so scripts can capture the
     // resolved port; everything else is structured stderr logging.
@@ -1166,66 +666,82 @@ fn cmd_serve(mut args: Args) -> Result<(), String> {
          /v1/jobs; \
          ctrl-c or SIGTERM drains queued jobs and exits"
     );
-    server.run().map_err(|e| format!("server failed: {e}"))
+    server.run().map_err(|e| fatal(format!("server failed: {e}")))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn args(list: &[&str]) -> Args {
-        Args::new(list.iter().map(|s| s.to_string()).collect())
+    fn args(list: &[&str]) -> Vec<String> {
+        list.iter().map(|s| s.to_string()).collect()
     }
 
     #[test]
     fn unknown_flags_are_rejected() {
-        let mut a = args(&["--vectors", "10", "--bogus", "--seed", "1"]);
-        let _ = a.take_parsed::<usize>("--vectors", 100).unwrap();
-        let _ = a.take_parsed::<u64>("--seed", 2005).unwrap();
-        let err = a.finish().unwrap_err();
-        assert!(err.contains("--bogus"), "{err}");
+        let body = decode_flags(&args(&["--vectors", "10", "--bogus", "--seed", "1"])).unwrap();
+        assert_eq!(body.get("vectors", 100usize).unwrap(), 10);
+        assert_eq!(body.get("seed", 2005u64).unwrap(), 1);
+        let err = body.reject_unread().unwrap_err();
+        assert_eq!(err.message, "unknown field(s): 'bogus'");
     }
 
     #[test]
     fn stray_positionals_are_rejected() {
-        let mut a = args(&["s1196", "extra"]);
-        assert_eq!(a.take_positional().as_deref(), Some("s1196"));
-        let err = a.finish().unwrap_err();
-        assert!(err.contains("extra"));
+        let err = decode_flags(&args(&["extra"])).unwrap_err();
+        assert!(err.message.contains("'extra'"), "{}", err.message);
+        let err = decode_flags(&args(&["--coarse", "--seed", "3", "4"])).unwrap_err();
+        assert!(err.message.contains("'4'"), "{}", err.message);
     }
 
     #[test]
     fn missing_values_are_rejected() {
-        let mut a = args(&["--vectors"]);
-        let err = a.take_value("--vectors").unwrap_err();
-        assert!(err.contains("expects a value"));
-        let mut a = args(&["--vectors", "--seed", "3"]);
-        let err = a.take_value("--vectors").unwrap_err();
-        assert!(err.contains("expects a value"));
+        let err = take_own(&mut args(&["--format"]), "--format", true).unwrap_err();
+        assert!(err.message.contains("expects a value"));
+        let err = take_own(&mut args(&["--format", "--seed", "3"]), "--format", true).unwrap_err();
+        assert!(err.message.contains("expects a value"));
     }
 
     #[test]
     fn values_and_flags_parse() {
-        let mut a = args(&["--threads", "8", "--no-cache", "--temp", "350"]);
-        assert_eq!(a.take_parsed::<usize>("--threads", 0).unwrap(), 8);
-        assert!(a.take_flag("--no-cache"));
-        assert!(!a.take_flag("--reference"));
-        assert_eq!(a.take_parsed::<f64>("--temp", 300.0).unwrap(), 350.0);
-        a.finish().unwrap();
+        let mut list = args(&["--threads", "8", "--no-cache", "--coarse", "--temp", "350.5"]);
+        list.extend(args(&["--no-remap", "--goal", "max", "--vdd-scale", "-1"]));
+        assert_eq!(take_own(&mut list, "--no-cache", false).unwrap().as_deref(), Some(""));
+        assert_eq!(take_own(&mut list, "--reference", false).unwrap(), None);
+        let body = decode_flags(&list).unwrap();
+        assert_eq!(body.get("threads", 0usize).unwrap(), 8);
+        assert!(body.get("coarse", false).unwrap());
+        assert_eq!(body.get("temp", 300.0).unwrap(), 350.5);
+        assert!(!body.get("remap", true).unwrap());
+        assert_eq!(body.get::<String>("goal", "min".into()).unwrap(), "max");
+        assert_eq!(body.get("vdd_scale", 1.0).unwrap(), -1.0);
+        body.reject_unread().unwrap();
+    }
+
+    #[test]
+    fn repeated_flags_are_rejected() {
+        let err = decode_flags(&args(&["--seed", "1", "--seed", "2"])).unwrap_err();
+        assert!(err.message.contains("--seed given twice"), "{}", err.message);
+        let err = decode_flags(&args(&["--remap", "--no-remap"])).unwrap_err();
+        assert!(err.message.contains("given twice"), "{}", err.message);
+        let err =
+            take_own(&mut args(&["--no-cache", "--no-cache"]), "--no-cache", false).unwrap_err();
+        assert!(err.message.contains("given twice"), "{}", err.message);
     }
 
     #[test]
     fn parse_errors_name_the_flag() {
-        let mut a = args(&["--vectors", "many"]);
-        let err = a.take_parsed::<usize>("--vectors", 100).unwrap_err();
-        assert!(err.contains("--vectors") && err.contains("many"));
+        let body = decode_flags(&args(&["--vectors", "many"])).unwrap();
+        let err = api::resolve_sweep_config(&body).unwrap_err();
+        assert!(err.message.contains("'vectors'"), "{}", err.message);
     }
 
     #[test]
     fn mode_parsing() {
-        assert_eq!(parse_mode(None).unwrap(), EstimatorMode::Lut);
-        assert_eq!(parse_mode(Some("noloading".into())).unwrap(), EstimatorMode::NoLoading);
-        assert!(parse_mode(Some("spice".into())).is_err());
+        let body = decode_flags(&args(&["--mode", "noloading"])).unwrap();
+        assert_eq!(api::resolve_sweep_config(&body).unwrap().mode, EstimatorMode::NoLoading);
+        let body = decode_flags(&args(&["--mode", "spice"])).unwrap();
+        assert!(api::resolve_sweep_config(&body).unwrap_err().message.contains("spice"));
     }
 
     #[test]

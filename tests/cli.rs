@@ -1,11 +1,14 @@
 //! End-to-end tests of the `nanoleak-cli` binary: the `--format json`
-//! machine interface of the `mlv` and `mc` subcommands, driven through
-//! a real process the way a harness would.
+//! machine interface of the analysis subcommands, driven through a
+//! real process the way a harness would, and its parity with the HTTP
+//! API's runners.
 
 use std::path::PathBuf;
 use std::process::Command;
 
-use serde::{json, Deserialize as _, Value};
+use nanoleak_engine::MemoLibraryCache;
+use nanoleak_serve::api::{self, Body, NoopObserver};
+use serde::{json, Deserialize as _, Serialize as _, Value};
 
 fn cli() -> Command {
     Command::new(env!("CARGO_BIN_EXE_nanoleak-cli"))
@@ -105,21 +108,100 @@ fn mc_json_output_carries_the_distribution_summary() {
     let _ = std::fs::remove_file(&bench);
 }
 
+/// The `error:` line of a failed run (stderr also carries the usage
+/// text, which names every flag).
+fn error_line(args: &[&str]) -> String {
+    let out = cli().args(args).output().expect("spawn nanoleak-cli");
+    assert_eq!(out.status.code(), Some(1), "{args:?} should fail");
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
+    stderr
+        .lines()
+        .find(|l| l.starts_with("error: "))
+        .unwrap_or_else(|| panic!("no error line in {stderr}"))
+        .to_string()
+}
+
 /// Strict flag rejection covers the new subcommand too.
 #[test]
 fn mc_rejects_unknown_flags_and_bad_values() {
     let bench = tiny_bench("mc-bad");
     let target = bench.to_str().unwrap();
-    let out = cli().args(["mc", target, "--bogus"]).output().expect("spawn");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--bogus"), "{stderr}");
-
-    let out = cli().args(["mc", target, "--samples", "0", "--coarse"]).output().expect("spawn");
-    assert!(!out.status.success());
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("--samples"), "{stderr}");
+    let line = error_line(&["mc", target, "--bogus"]);
+    assert!(line.contains("'bogus'"), "{line}");
+    let line = error_line(&["mc", target, "--samples", "0", "--coarse"]);
+    assert!(line.contains("'samples'"), "{line}");
     let _ = std::fs::remove_file(&bench);
+}
+
+/// Drops the wall-clock fields, the only part of a response two runs
+/// may disagree on.
+fn without_wall_clock(v: Value) -> Value {
+    let Value::Record(fields) = v else { panic!("expected object, got {v:?}") };
+    let clock = ["elapsed_ms", "patterns_per_sec", "samples_per_sec"];
+    Value::Record(fields.into_iter().filter(|(n, _)| !clock.contains(&n.as_str())).collect())
+}
+
+/// `nanoleak-cli <command> s838 --coarse <flags> --format json` prints
+/// exactly what the API's runner returns for the body with `fields`.
+fn assert_cli_is_api(command: &str, flags: &[&str], fields: &str) {
+    let mut args = vec![command, "s838", "--coarse", "--no-cache", "--format", "json"];
+    args.extend_from_slice(flags);
+    let from_cli = run_json(&args);
+    let body = Body::parse(&format!(r#"{{"target": "s838", "coarse": true, {fields}}}"#)).unwrap();
+    let cache = MemoLibraryCache::memory_only();
+    let response = match command {
+        "estimate" => api::run_estimate(&cache, &body).map(|r| r.to_value()),
+        "sweep" => api::run_sweep_streaming(&cache, &body, &NoopObserver).map(|r| r.to_value()),
+        "mlv" => api::run_mlv(&cache, &body).map(|r| r.to_value()),
+        "optimize" => api::run_optimize_with(&cache, &body, &NoopObserver).map(|r| r.to_value()),
+        "mc" => api::run_mc(&cache, &body, &NoopObserver).map(|r| r.to_value()),
+        other => panic!("no runner for {other}"),
+    }
+    .unwrap_or_else(|e| panic!("{command}: {e:?}"));
+    // Through the text codec the CLI printed with, so number forms agree.
+    let from_api = json::value_from_str(&json::value_to_string(&response)).unwrap();
+    assert_eq!(without_wall_clock(from_cli), without_wall_clock(from_api), "{command}");
+}
+
+#[test]
+fn estimate_json_is_the_api_response() {
+    assert_cli_is_api("estimate", &["--vectors", "4", "--seed", "7"], r#""vectors": 4, "seed": 7"#);
+}
+
+#[test]
+fn sweep_json_is_the_api_response() {
+    assert_cli_is_api(
+        "sweep",
+        &["--vectors", "96", "--shard-vectors", "32", "--mode", "noloading"],
+        r#""vectors": 96, "shard_vectors": 32, "mode": "noloading""#,
+    );
+}
+
+#[test]
+fn mlv_json_is_the_api_response() {
+    assert_cli_is_api(
+        "mlv",
+        &["--goal", "max", "--restarts", "2", "--max-steps", "8"],
+        r#""goal": "max", "restarts": 2, "max_steps": 8"#,
+    );
+}
+
+#[test]
+fn optimize_json_is_the_api_response() {
+    assert_cli_is_api(
+        "optimize",
+        &["--rounds", "1", "--restarts", "2", "--max-steps", "8", "--no-remap"],
+        r#""rounds": 1, "restarts": 2, "max_steps": 8, "remap": false"#,
+    );
+}
+
+#[test]
+fn mc_json_is_the_api_response() {
+    assert_cli_is_api(
+        "mc",
+        &["--samples", "2", "--vectors", "4", "--pattern-seed", "11"],
+        r#""samples": 2, "vectors": 4, "pattern_seed": 11"#,
+    );
 }
 
 /// A characterization that cannot converge (5000 K is far outside the
